@@ -10,163 +10,34 @@ Usage::
     python -m repro sweep         # Section VII best-effort sweep
     python -m repro ablations     # design-choice ablations
     python -m repro all           # everything above
-    python -m repro campaign ...  # scenario-campaign engine (below)
-    python -m repro serve ...     # online admission service (below)
-    python -m repro replay ...    # dynamic composability replay (below)
-    python -m repro design ...    # design-space explorer (below)
-    python -m repro faults ...    # fault injection + survivability (below)
-    python -m repro monitor ...   # conformance watchdog + heatmaps (below)
-    python -m repro bench-check   # perf-regression sentinel (below)
+    python -m repro campaign ...  # scenario-campaign engine
+    python -m repro serve ...     # online admission service
+    python -m repro replay ...    # dynamic composability replay
+    python -m repro design ...    # design-space explorer
+    python -m repro faults ...    # fault injection + survivability
+    python -m repro monitor ...   # conformance watchdog + heatmaps
+    python -m repro bench-check   # perf-regression sentinel
 
-Running campaigns
------------------
-
-The ``campaign`` subcommand drives the :mod:`repro.campaign` engine: a
-declarative grid of scenarios (topology × traffic mix × backend/clocking
-scheme × seed grid, including service-churn scenarios) fanned out over
-worker processes, aggregated into one deterministic JSON report::
-
-    python -m repro campaign --demo               # built-in demo grid
-    python -m repro campaign --demo --workers 4   # wider pool
-    python -m repro campaign --demo --output report.json
-    python -m repro campaign --demo --list        # show the grid, don't run
-    python -m repro campaign --preset churn_campaign   # any preset
-    python -m repro campaign --preset design_campaign --workers 4
-    python -m repro campaign --demo --workdir wd       # checkpointed
-    python -m repro campaign --demo --resume wd        # after a kill
-    python -m repro campaign --preset synthetic_campaign --workdir wd --stream
-
-Serial and parallel executions produce byte-identical reports; ``--demo``
-verifies that on every invocation by running both and comparing.
-``--preset`` runs any registered preset grid (churn, replay, design,
-faults, synthetic, micro, demo); a bad name lists what is available.  Use
-``repro.campaign.scenario_grid`` from Python to build custom grids.
-With ``--workdir`` completed runs checkpoint into per-shard journals;
-``--resume`` skips them after a kill and still produces the
-byte-identical report.  ``--stream`` keeps memory flat on huge grids.
-
-Dimensioning a network
-----------------------
-
-The ``design`` subcommand runs the :mod:`repro.design` explorer: take a
-workload, search topology family × extent × NIs-per-router × slot-table
-size × word format × mapping, and emit the Pareto front over silicon
-area, operating frequency and worst-case guarantee slack::
-
-    python -m repro design --demo                 # Section VII demo
-    python -m repro design --demo --workers 4     # wider pool
-    python -m repro design --demo --output report.json
-
-The demo dimensions the Section VII workload (demo scale) over an
-18-candidate space capped at the paper's 500 MHz clock and must
-rediscover the paper's hand-picked point: the minimum-area feasible
-candidate is the 2x2 concentrated mesh at or below 500 MHz.  The whole
-exploration runs twice and the canonical JSON reports must be
-byte-identical.
-
-Running the admission service
------------------------------
-
-The ``serve`` subcommand drives the :mod:`repro.service` control plane
-over a seeded churn trace on the Section VII mesh::
-
-    python -m repro serve --demo                  # 2000-event trace
-    python -m repro serve --demo --events 200     # shorter trace (CI)
-    python -m repro serve --demo --output report.json
-
-The demo replays the identical trace twice and verifies the canonical
-JSON reports are byte-identical; every accepted session's record carries
-its analytical latency/throughput bound quote, and the composability
-invariant is re-checked after every transition.
-
-Replaying a churn timeline
---------------------------
-
-The ``replay`` subcommand closes the control-plane → simulation loop: it
-records a churn trace as a :class:`~repro.core.timeline.
-ReconfigurationTimeline` and *executes* it at cycle level::
-
-    python -m repro replay --demo                 # record, replay, verify
-    python -m repro replay --demo --events 120 --slots 1200   # CI smoke
-    python -m repro replay --demo --output report.json
-
-On the flit-level TDM backend every surviving session's trace must be
-bit-identical to its solo reference across all reconfiguration epochs
-(the paper's composability-under-change claim, checked cycle by cycle);
-on the best-effort baseline the same timeline demonstrably diverges.
-The flow runs twice and the two canonical JSON reports must match byte
-for byte.
-
-Injecting faults
-----------------
-
-The ``faults`` subcommand degrades a live network and measures what
-survives: a seeded fault schedule (link and router failures with
-repairs) is merged into a churn trace, fault-hit sessions are
-force-released and re-admitted over surviving routes, and the degraded
-run is folded against the fault-free baseline of the identical churn::
-
-    python -m repro faults --demo                 # churn + faults
-    python -m repro faults --demo --events 120 --slots 1200  # CI smoke
-    python -m repro faults --demo --output report.json
-
-The survivability report carries admission retention, guarantee
-retention and session survival; the churn+fault timeline replays on the
-flit-level backend and every fault-survivor's trace must be
-bit-identical to its solo reference.  The flow runs twice and the two
-canonical JSON reports must match byte for byte.
-
-Monitoring guarantees
----------------------
-
-The ``monitor`` subcommand runs the :mod:`repro.telemetry.monitor`
-analysis tier over the Section VII use case: every channel's observed
-worst-case service latency and delivered throughput are classified
-against the quoted analytical bounds (``within_bounds`` / ``tight`` /
-``violated``), and the fabric's per-link / per-NI slot occupancy is
-folded into hotspot heatmaps::
-
-    python -m repro monitor --demo                # watchdog + heatmaps
-    python -m repro monitor --demo --slots 1500 --top 5
-    python -m repro monitor --demo --output conformance.json
-
-On the GS backend zero channels may classify ``violated``; the
-conformance report is byte-deterministic and the demo verifies that by
-running the flow twice.  ``serve``, ``replay``, ``faults`` and
-``campaign`` accept ``--monitor`` (and ``--monitor-output PATH``,
-``--monitor-slack F``) to arm the same watchdog on their own flows; the
-canonical demo reports stay byte-identical with the monitor on or off.
-
-The ``bench-check`` subcommand is the perf-regression sentinel: it
-reads the committed ``benchmarks/records/BENCH_*.json`` trajectories,
-fits a robust baseline (median of prior entries) per benchmark, and
-exits non-zero when the newest entry's throughput regressed more than
-the tolerance::
-
-    python -m repro bench-check                   # default 15% tolerance
-    python -m repro bench-check --tolerance 0.15 --records benchmarks/records
-
-Observability
--------------
-
-Every demo subcommand accepts ``--telemetry PATH`` (deterministic
-metric/span JSONL from :mod:`repro.telemetry`) and ``--trace PATH``
-(Chrome trace-event JSON, loadable in Perfetto / ``chrome://tracing``),
-and prints a wall-clock per-phase timing table; the canonical reports
-stay byte-identical with and without instrumentation::
-
-    python -m repro serve --demo --telemetry out.jsonl --trace out.trace.json
-    python -m repro --profile campaign --demo    # cProfile the whole run
-
-``--profile`` (before the subcommand) wraps the invocation in
-:func:`repro.telemetry.run_profiled` and prints the cProfile hot spots
-to stderr.
+Every demo subcommand (``serve``, ``replay``, ``design``, ``faults``,
+``monitor``) runs only its built-in ``--demo`` flow, executes it twice
+and fails unless the two canonical JSON reports are byte-identical and
+the demo's own checks hold; ``--output PATH`` writes the canonical
+report.  They share one frame (:func:`_demo_frame`): the ``--demo``
+guard, the telemetry hub (``--telemetry PATH`` JSONL, ``--trace PATH``
+Chrome trace, a wall-clock phase table), the ``--monitor`` conformance
+watchdog and an exit code that folds every check — 0 when all hold, 1
+when one fails, 2 on a usage error.  ``--profile`` (before the
+subcommand) wraps the invocation in
+:func:`repro.telemetry.run_profiled`.  ``docs/cli.md`` is the full
+reference, with sample output for every command.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.experiments.report import format_table
 
@@ -391,7 +262,7 @@ def _campaign(args: argparse.Namespace) -> int:
             serial = CampaignRunner(spec, workers=1).run()
         agree = serial.to_json() == result.to_json()
         print(f"\nserial/parallel reports byte-identical: "
-              f"{'yes' if agree else 'NO — DETERMINISM BUG'}")
+              f"{_yes(agree, 'DETERMINISM BUG')}")
     elif workers == 1:
         print("\nworkers=1: in-process run, serial/parallel "
               "determinism check skipped")
@@ -411,18 +282,64 @@ def _campaign(args: argparse.Namespace) -> int:
     return 0 if agree and conformance_ok else 1
 
 
-def _design(args: argparse.Namespace) -> int:
-    from repro.design import run_design_demo
+@dataclass
+class _DemoRun:
+    """What a demo body hands back to :func:`_demo_frame`: the report
+    ``--output`` writes (JSON text or ``to_json()``), the named checks
+    the exit code folds, lines to print after the byte-identity verdict
+    and text to print when no ``--output`` is given."""
+
+    report: object
+    identical: bool
+    checks: dict[str, bool] = field(default_factory=dict)
+    conformance: object = None
+    trailer: Callable[[], None] | None = None
+    fallback: str | None = None
+
+
+def _yes(ok: bool, failure: str) -> str:
+    """A check verdict as the demos print it."""
+    return "yes" if ok else f"NO — {failure}"
+
+
+def _demo_frame(args: argparse.Namespace) -> int:
+    """Run one demo subcommand: guard, instrument, report, exit code.
+
+    The subcommand's parser (:func:`_demo_parser`) sets ``args.body``:
+    ``body(args, telemetry, monitor)`` runs the demo, prints its own
+    tables and check lines and returns a :class:`_DemoRun`.
+    """
     if not args.demo:
-        print("design: only the built-in --demo exploration is runnable "
-              "from the CLI; build custom problems with repro.design in "
-              "Python (DesignExplorer, DesignSpace, workload_from_churn)",
-              file=sys.stderr)
+        print(f"{args.experiment}: {args.refusal}", file=sys.stderr)
         return 2
-    workers = max(1, args.workers)
-    tel = _demo_telemetry("design")
+    wfq = getattr(args, "policy", None) == "wfq"
+    tel = _demo_telemetry("fairness" if wfq else args.experiment)
+    monitor = _monitor_spec(args)
+    run = args.body(args, tel, monitor)
+    print(f"repeated-run {args.noun} byte-identical: "
+          f"{_yes(run.identical, 'DETERMINISM BUG')}")
+    if run.trailer is not None:
+        run.trailer()
+    ok = run.identical and all(run.checks.values())
+    if monitor is not None:
+        ok = _print_conformance(run.conformance, args) and ok
+    if args.output:
+        report = run.report
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(report if isinstance(report, str)
+                         else report.to_json())
+            handle.write("\n")
+        print(f"{args.written} written to {args.output}")
+    elif run.fallback is not None:
+        print("\n" + run.fallback)
+    _finish_telemetry(tel, args)
+    return 0 if ok else 1
+
+
+def _design(args: argparse.Namespace, tel, monitor) -> _DemoRun:
+    from repro.design import run_design_demo
     report, identical, matches = run_design_demo(
-        workers=workers, seed=args.seed,
+        workers=max(1, args.workers), seed=args.seed,
         spare_capacity=args.spare_capacity, telemetry=tel)
     n_crashed = report.count("configuration_failed")
     title = (f"design demo — {report.n_candidates} candidates "
@@ -446,42 +363,28 @@ def _design(args: argparse.Namespace) -> int:
     else:
         print(f"minimum-area point matches the paper's dimensioning "
               f"(2x2 mesh at <= 500 MHz): "
-              f"{'yes' if matches else 'NO — SEARCH REGRESSION'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    if n_crashed:
-        print(f"{n_crashed} candidate evaluation(s) crashed "
-              "(configuration_failed) — see the JSON report")
-    _print_campaign_meta(report.meta)
-    if args.output:
-        report.write(args.output)
-        print(f"canonical JSON report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and matches is not False
-                 and not n_crashed) else 1
+              f"{_yes(matches, 'SEARCH REGRESSION')}")
+
+    def trailer() -> None:
+        if n_crashed:
+            print(f"{n_crashed} candidate evaluation(s) crashed "
+                  "(configuration_failed) — see the JSON report")
+        _print_campaign_meta(report.meta)
+
+    return _DemoRun(report, identical,
+                    {"paper_point": matches is not False,
+                     "no_crash": not n_crashed}, trailer=trailer)
 
 
-def _faults(args: argparse.Namespace) -> int:
+def _faults(args: argparse.Namespace, tel, monitor) -> _DemoRun:
     from repro.faults.demo import run_faults_demo
-    if not args.demo:
-        print("faults: only the built-in --demo flow is runnable from "
-              "the CLI; drive custom schedules with repro.faults in "
-              "Python (FaultSpec, FaultSchedule, "
-              "Allocation.rebuild_excluding)", file=sys.stderr)
-        return 2
-    tel = _demo_telemetry("faults")
-    monitor = _monitor_spec(args)
     record, report_json, identical = run_faults_demo(
         n_events=args.events, n_slots=args.slots,
         n_faults=args.faults, seed=args.seed, telemetry=tel,
         monitor=monitor)
     schedule = record["fault_schedule"]
-    rows = [{
-        "t_ms": e["t_ms"],
-        "action": e["action"],
-        "kind": e["kind"],
-        "target": e["target"],
-    } for e in schedule]
+    rows = [{key: e[key] for key in ("t_ms", "action", "kind", "target")}
+            for e in schedule]
     print(format_table(
         rows, title=f"faults demo — {len(schedule)} fabric events over "
                     f"{record['n_events']} session events"))
@@ -501,35 +404,21 @@ def _faults(args: argparse.Namespace) -> int:
           f"{rebuild['n_dropped']} dropped of {rebuild['n_affected']} "
           f"affected channels (untouched intact: "
           f"{'yes' if rebuild['untouched_intact'] else 'NO'})")
-    composable = bool(comp["composable"])
-    invariant_ok = bool(record["faulty"]["invariant"]["ok"])
-    rebuild_ok = bool(rebuild["untouched_intact"])
+    checks = {"composable": bool(comp["composable"]),
+              "invariant": bool(record["faulty"]["invariant"]["ok"]),
+              "rebuild": bool(rebuild["untouched_intact"])}
     print(f"fault survivors bit-identical across "
           f"{comp['n_epochs']} epochs: "
-          f"{'yes' if composable else 'NO — ISOLATION BUG'}")
+          f"{_yes(checks['composable'], 'ISOLATION BUG')}")
     print(f"composability invariant held through all faults: "
-          f"{'yes' if invariant_ok else 'NO — ISOLATION BUG'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    conformance_ok = True
-    if monitor is not None:
-        conformance_ok = _print_conformance(
-            record.get("_conformance"), args)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report_json)
-            handle.write("\n")
-        print(f"canonical JSON report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and composable and invariant_ok
-                 and rebuild_ok and conformance_ok) else 1
+          f"{_yes(checks['invariant'], 'ISOLATION BUG')}")
+    return _DemoRun(report_json, identical, checks,
+                    conformance=record.get("_conformance"))
 
 
-def _serve_fairness(args: argparse.Namespace) -> int:
-    """The ``serve --policy wfq --demo`` flow: the fairness verdict."""
+def _serve_fairness(args: argparse.Namespace, tel, monitor) -> _DemoRun:
+    """The ``serve --policy wfq --demo`` body: the fairness verdict."""
     from repro.service import run_fairness_demo
-    tel = _demo_telemetry("fairness")
-    monitor = _monitor_spec(args)
     record, report_json, identical = run_fairness_demo(
         n_events=args.events, seed=args.seed, telemetry=tel,
         monitor=monitor)
@@ -565,46 +454,21 @@ def _serve_fairness(args: argparse.Namespace) -> int:
     checks = record["checks"]
     wfq_ok = bool(checks["wfq_retention_ok"])
     fcfs_fails = bool(checks["fcfs_fails"])
-    floor = checks["retention_floor"]
-    print(f"\nwell-behaved tenants retain >= {floor:.0%} of their solo "
-          f"admission rate under wfq: "
-          f"{'yes' if wfq_ok else 'NO — FAIRNESS BUG'} "
+    print(f"\nwell-behaved tenants retain >= "
+          f"{checks['retention_floor']:.0%} of their solo admission rate "
+          f"under wfq: {_yes(wfq_ok, 'FAIRNESS BUG')} "
           f"(min {checks['min_well_behaved_retention']:.1%})")
     print(f"FCFS baseline fails the same bound (the policy earns its "
-          f"keep): {'yes' if fcfs_fails else 'NO — adversary too weak'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    conformance_ok = True
-    if monitor is not None:
-        conformance = record.get("_conformance")
-        conformance_ok = _print_conformance(conformance, args)
-        if conformance is not None:
-            tenant_rows = conformance.tenant_rows()
-            if tenant_rows:
-                print(format_table(
-                    tenant_rows,
-                    title="per-tenant guarantee retention"))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report_json)
-            handle.write("\n")
-        print(f"canonical JSON report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and wfq_ok and fcfs_fails
-                 and conformance_ok) else 1
+          f"keep): {_yes(fcfs_fails, 'adversary too weak')}")
+    return _DemoRun(report_json, identical,
+                    {"wfq_retention": wfq_ok, "fcfs_fails": fcfs_fails},
+                    conformance=record.get("_conformance"))
 
 
-def _serve(args: argparse.Namespace) -> int:
+def _serve(args: argparse.Namespace, tel, monitor) -> _DemoRun:
     from repro.service import run_demo
-    if not args.demo:
-        print("serve: only the built-in --demo trace is runnable from "
-              "the CLI; drive custom workloads with repro.service in "
-              "Python", file=sys.stderr)
-        return 2
     if args.policy == "wfq":
-        return _serve_fairness(args)
-    tel = _demo_telemetry("serve")
-    monitor = _monitor_spec(args)
+        return _serve_fairness(args, tel, monitor)
     report, identical = run_demo(n_events=args.events, seed=args.seed,
                                  telemetry=tel, monitor=monitor)
     print(format_table(
@@ -615,37 +479,20 @@ def _serve(args: argparse.Namespace) -> int:
     invariant_ok = bool(report.invariant["ok"])
     print(f"\ncomposability invariant held across "
           f"{report.invariant['transitions_checked']} transitions: "
-          f"{'yes' if invariant_ok else 'NO — ISOLATION BUG'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
+          f"{_yes(invariant_ok, 'ISOLATION BUG')}")
     timing = report.timing
     print(f"throughput: {timing['events_per_s']:,.0f} events/s "
           f"(admission mean {timing.get('admit_mean_us', 0.0):.1f} us, "
           f"p99 {timing.get('admit_p99_us', 0.0):.1f} us) "
           "[wall-clock; excluded from the canonical report]")
-    conformance_ok = True
-    if monitor is not None:
-        conformance_ok = _print_conformance(
-            getattr(report, "conformance", None), args)
-    if args.output:
-        report.write(args.output)
-        print(f"canonical JSON report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and invariant_ok and conformance_ok) else 1
+    return _DemoRun(report, identical, {"invariant": invariant_ok},
+                    conformance=getattr(report, "conformance", None))
 
 
-def _replay(args: argparse.Namespace) -> int:
+def _replay(args: argparse.Namespace, tel, monitor) -> _DemoRun:
     import json
 
     from repro.simulation.replay import run_replay_demo
-    if not args.demo:
-        print("replay: only the built-in --demo trace is runnable from "
-              "the CLI; drive custom timelines with "
-              "repro.simulation.verify_timeline in Python",
-              file=sys.stderr)
-        return 2
-    tel = _demo_telemetry("replay")
-    monitor = _monitor_spec(args)
     record, report_json, identical = run_replay_demo(
         n_events=args.events, n_slots=args.slots, seed=args.seed,
         telemetry=tel, monitor=monitor)
@@ -668,54 +515,34 @@ def _replay(args: argparse.Namespace) -> int:
         verdicts["flit"]["n_survivors"] > 0
     be_diverged = bool(verdicts["be"]["diverged"])
     print(f"\nflit (TDM): survivors bit-identical across every epoch: "
-          f"{'yes' if flit_ok else 'NO — ISOLATION BUG'}")
+          f"{_yes(flit_ok, 'ISOLATION BUG')}")
     print(f"best-effort baseline diverges under the same churn: "
-          f"{'yes' if be_diverged else 'NO — expected divergence missing'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    conformance_ok = True
-    if monitor is not None:
-        conformance_ok = _print_conformance(
-            record.get("_conformance"), args)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report_json)
-            handle.write("\n")
-        print(f"canonical JSON report written to {args.output}")
-    else:
-        print("\n" + json.dumps(
-            {"verdicts": verdicts,
-             "n_transitions": len(timeline["events"])},
-            indent=2, sort_keys=True))
-    _finish_telemetry(tel, args)
-    return 0 if (flit_ok and be_diverged and identical
-                 and conformance_ok) else 1
+          f"{_yes(be_diverged, 'expected divergence missing')}")
+    return _DemoRun(
+        report_json, identical,
+        {"flit_composable": flit_ok, "be_diverged": be_diverged},
+        conformance=record.get("_conformance"),
+        fallback=json.dumps({"verdicts": verdicts,
+                             "n_transitions": len(timeline["events"])},
+                            indent=2, sort_keys=True))
 
 
-def _monitor(args: argparse.Namespace) -> int:
+def _monitor(args: argparse.Namespace, tel, _armed) -> _DemoRun:
     from repro.experiments.section7 import section7_setup
+    from repro.telemetry.hub import run_twice
     from repro.telemetry.monitor import (FabricRollup, MonitorSpec,
                                          conformance_from_result)
     from repro.usecase.runner import run_gs
-    if not args.demo:
-        print("monitor: only the built-in --demo flow is runnable from "
-              "the CLI; build custom watchdogs with "
-              "repro.telemetry.monitor in Python (MonitorSpec, "
-              "conformance_from_result, timeline_conformance, "
-              "FabricRollup)", file=sys.stderr)
-        return 2
-    tel = _demo_telemetry("monitor")
     spec = MonitorSpec(slack_fraction=args.slack)
     with tel.phase("configure"):
         _, config = section7_setup()
-    with tel.phase("simulate"):
-        outcome = run_gs(config, n_slots=args.slots)
-    with tel.phase("conformance"):
-        conformance = conformance_from_result(config, outcome.result,
-                                              spec=spec)
-        rerun = conformance_from_result(
-            config, run_gs(config, n_slots=args.slots).result, spec=spec)
-        identical = conformance.to_json() == rerun.to_json()
+
+    def one_run(_telemetry, _armed):
+        result = run_gs(config, n_slots=args.slots).result
+        return conformance_from_result(config, result, spec=spec), None
+
+    conformance, _, identical = run_twice(
+        one_run, telemetry=tel, phases=("simulate", "conformance"))
     rollup = FabricRollup.from_allocation(config.allocation)
     rollup.emit_counter_tracks(tel)
     print(conformance.summary())
@@ -728,15 +555,11 @@ def _monitor(args: argparse.Namespace) -> int:
     print()
     print(format_table(rollup.ni_rows(args.top),
                        title="busiest source NIs (slot occupancy)"))
+    zero_violated = conformance.n_violated == 0
     print(f"\nzero violated channels on the GS backend: "
-          f"{'yes' if conformance.n_violated == 0 else 'NO — BOUNDS BUG'}")
-    print(f"repeated-run conformance byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    if args.output:
-        conformance.write(args.output)
-        print(f"conformance report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and conformance.n_violated == 0) else 1
+          f"{_yes(zero_violated, 'BOUNDS BUG')}")
+    return _DemoRun(conformance, identical,
+                    {"zero_violated": zero_violated})
 
 
 def _bench_check(args: argparse.Namespace) -> int:
@@ -802,6 +625,28 @@ def _add_monitor_flags(subparser: argparse.ArgumentParser) -> None:
                                 "(default 0.2)")
 
 
+def _demo_parser(sub, name: str, body, *, help: str, demo_help: str,
+                 refusal: str,
+                 output_help: str = "write the canonical JSON report here",
+                 monitor: bool = True, noun: str = "reports",
+                 written: str = "canonical JSON report"
+                 ) -> argparse.ArgumentParser:
+    """A ``--demo``-only subcommand run by :func:`_demo_frame`.
+
+    Adds the flags every demo shares; ``refusal`` explains, on stderr,
+    why the subcommand will not run without ``--demo``.
+    """
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--demo", action="store_true", help=demo_help)
+    parser.add_argument("--output", default=None, help=output_help)
+    _add_observability_flags(parser)
+    if monitor:
+        _add_monitor_flags(parser)
+    parser.set_defaults(body=body, refusal=refusal, noun=noun,
+                        written=written)
+    return parser
+
+
 def _monitor_spec(args: argparse.Namespace):
     """The armed :class:`MonitorSpec`, or ``None`` when monitoring is off."""
     if not (getattr(args, "monitor", False)
@@ -824,6 +669,10 @@ def _print_conformance(conformance, args: argparse.Namespace) -> bool:
     if output:
         conformance.write(output)
         print(f"conformance report written to {output}")
+    tenant_rows = conformance.tenant_rows()
+    if tenant_rows:
+        print(format_table(tenant_rows,
+                           title="per-tenant guarantee retention"))
     return conformance.ok
 
 
@@ -885,13 +734,15 @@ def main(argv: list[str] | None = None) -> int:
                           help="print the expanded run grid and exit")
     _add_observability_flags(campaign)
     _add_monitor_flags(campaign)
-    serve = sub.add_parser(
-        "serve", help="run the online admission service over a churn "
-                      "trace")
-    serve.add_argument("--demo", action="store_true",
-                       help="run the built-in seeded churn trace on the "
-                            "Section VII mesh (twice; verifies the "
-                            "reports are byte-identical)")
+    serve = _demo_parser(
+        sub, "serve", _serve,
+        help="run the online admission service over a churn trace",
+        demo_help="run the built-in seeded churn trace on the Section "
+                  "VII mesh (twice; verifies the reports are "
+                  "byte-identical)",
+        refusal="only the built-in --demo trace is runnable from the "
+                "CLI; drive custom workloads with repro.service in "
+                "Python")
     serve.add_argument("--events", type=int, default=2000,
                        help="number of session events to process "
                             "(default 2000)")
@@ -904,19 +755,17 @@ def main(argv: list[str] | None = None) -> int:
                             "multi-tenant weighted-fair demo: abusive "
                             "tenant vs FCFS vs per-tenant solo "
                             "baselines)")
-    serve.add_argument("--output", default=None,
-                       help="write the canonical JSON report here")
-    _add_observability_flags(serve)
-    _add_monitor_flags(serve)
-    replay = sub.add_parser(
-        "replay", help="record a churn trace and replay it as a "
-                       "reconfiguration timeline at cycle level")
-    replay.add_argument("--demo", action="store_true",
-                        help="run the built-in seeded churn trace, "
-                             "replay it on the flit-level and "
-                             "best-effort backends, and verify dynamic "
-                             "composability (twice; reports must be "
-                             "byte-identical)")
+    replay = _demo_parser(
+        sub, "replay", _replay,
+        help="record a churn trace and replay it as a reconfiguration "
+             "timeline at cycle level",
+        demo_help="run the built-in seeded churn trace, replay it on the "
+                  "flit-level and best-effort backends, and verify "
+                  "dynamic composability (twice; reports must be "
+                  "byte-identical)",
+        refusal="only the built-in --demo trace is runnable from the "
+                "CLI; drive custom timelines with "
+                "repro.simulation.verify_timeline in Python")
     replay.add_argument("--events", type=int, default=240,
                         help="number of session events to record "
                              "(default 240)")
@@ -925,20 +774,18 @@ def main(argv: list[str] | None = None) -> int:
                              "timeline is fitted into (default 3000)")
     replay.add_argument("--seed", type=int, default=2009,
                         help="workload seed (default 2009)")
-    replay.add_argument("--output", default=None,
-                        help="write the canonical JSON report here")
-    _add_observability_flags(replay)
-    _add_monitor_flags(replay)
-    design = sub.add_parser(
-        "design", help="dimension a network from a workload: explore "
-                       "the design space and emit the Pareto front")
-    design.add_argument("--demo", action="store_true",
-                        help="dimension the demo-scale Section VII "
-                             "workload over the built-in 18-candidate "
-                             "space (twice; reports must be "
-                             "byte-identical and the minimum-area point "
-                             "must be the paper's 2x2 mesh at <= 500 "
-                             "MHz)")
+    design = _demo_parser(
+        sub, "design", _design, monitor=False,
+        help="dimension a network from a workload: explore the design "
+             "space and emit the Pareto front",
+        demo_help="dimension the demo-scale Section VII workload over "
+                  "the built-in 18-candidate space (twice; reports must "
+                  "be byte-identical and the minimum-area point must be "
+                  "the paper's 2x2 mesh at <= 500 MHz)",
+        refusal="only the built-in --demo exploration is runnable from "
+                "the CLI; build custom problems with repro.design in "
+                "Python (DesignExplorer, DesignSpace, "
+                "workload_from_churn)")
     design.add_argument("--workers", type=int, default=2,
                         help="worker processes for candidate "
                              "evaluation (default 2)")
@@ -950,17 +797,17 @@ def main(argv: list[str] | None = None) -> int:
                              "channel requirement by this fraction so "
                              "the dimensioned network keeps slack for "
                              "degraded-mode re-allocation (default 0)")
-    design.add_argument("--output", default=None,
-                        help="write the canonical JSON report here")
-    _add_observability_flags(design)
-    faults = sub.add_parser(
-        "faults", help="inject link/router failures into a churn trace "
-                       "and measure what survives")
-    faults.add_argument("--demo", action="store_true",
-                        help="run the built-in churn+faults flow on a "
-                             "3x3 mesh against its fault-free baseline "
-                             "(twice; reports must be byte-identical "
-                             "and fault survivors bit-identical)")
+    faults = _demo_parser(
+        sub, "faults", _faults,
+        help="inject link/router failures into a churn trace and "
+             "measure what survives",
+        demo_help="run the built-in churn+faults flow on a 3x3 mesh "
+                  "against its fault-free baseline (twice; reports must "
+                  "be byte-identical and fault survivors bit-identical)",
+        refusal="only the built-in --demo flow is runnable from the "
+                "CLI; drive custom schedules with repro.faults in Python "
+                "(FaultSpec, FaultSchedule, "
+                "Allocation.rebuild_excluding)")
     faults.add_argument("--events", type=int, default=240,
                         help="number of session events (default 240)")
     faults.add_argument("--slots", type=int, default=3000,
@@ -971,22 +818,22 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 6)")
     faults.add_argument("--seed", type=int, default=2009,
                         help="workload/schedule seed (default 2009)")
-    faults.add_argument("--output", default=None,
-                        help="write the canonical JSON report here")
-    _add_observability_flags(faults)
-    _add_monitor_flags(faults)
-    monitor = sub.add_parser(
-        "monitor", help="guarantee-conformance watchdog + fabric "
-                        "introspection over the Section VII use case")
-    monitor.add_argument("--demo", action="store_true",
-                         help="run the Section VII GS use case, classify "
-                              "every channel's observed worst-case "
-                              "latency and delivered throughput against "
-                              "its analytical bounds (twice; the "
-                              "conformance reports must be "
-                              "byte-identical and zero channels "
-                              "violated), and print the fabric "
-                              "utilisation heatmaps")
+    monitor = _demo_parser(
+        sub, "monitor", _monitor, monitor=False, noun="conformance",
+        written="conformance report",
+        help="guarantee-conformance watchdog + fabric introspection "
+             "over the Section VII use case",
+        demo_help="run the Section VII GS use case, classify every "
+                  "channel's observed worst-case latency and delivered "
+                  "throughput against its analytical bounds (twice; the "
+                  "conformance reports must be byte-identical and zero "
+                  "channels violated), and print the fabric utilisation "
+                  "heatmaps",
+        refusal="only the built-in --demo flow is runnable from the "
+                "CLI; build custom watchdogs with repro.telemetry.monitor "
+                "in Python (MonitorSpec, conformance_from_result, "
+                "timeline_conformance, FabricRollup)",
+        output_help="write the canonical conformance report JSON here")
     monitor.add_argument("--slots", type=int, default=3000,
                          help="simulation horizon in TDM slots "
                               "(default 3000)")
@@ -997,10 +844,6 @@ def main(argv: list[str] | None = None) -> int:
     monitor.add_argument("--top", type=int, default=8,
                          help="rows per heatmap/headroom table "
                               "(default 8)")
-    monitor.add_argument("--output", default=None,
-                         help="write the canonical conformance report "
-                              "JSON here")
-    _add_observability_flags(monitor)
     bench = sub.add_parser(
         "bench-check", help="perf-regression sentinel over the recorded "
                             "benchmark trajectories")
@@ -1026,16 +869,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     """Route a parsed invocation to its handler."""
     if args.experiment == "campaign":
         return _campaign(args)
-    if args.experiment == "serve":
-        return _serve(args)
-    if args.experiment == "replay":
-        return _replay(args)
-    if args.experiment == "design":
-        return _design(args)
-    if args.experiment == "faults":
-        return _faults(args)
-    if args.experiment == "monitor":
-        return _monitor(args)
+    if hasattr(args, "body"):
+        return _demo_frame(args)
     if args.experiment == "bench-check":
         return _bench_check(args)
     if args.experiment == "all":

@@ -51,8 +51,7 @@ from repro.campaign.fabric import (CampaignWorkdir, Shard,
 from repro.campaign.spec import (CampaignSpec, RunSpec, SyntheticSpec,
                                  derive_seed)
 from repro.core.configuration import configure
-from repro.core.exceptions import (AllocationError, ConfigurationError,
-                                   TopologyError)
+from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.simulation.backend import SimRequest, create_backend
 from repro.telemetry.hub import coalesce
 
@@ -80,39 +79,46 @@ _TOP_WALLS = 128
 def execute_run(run: RunSpec) -> dict[str, object]:
     """Execute one run and return its JSON-ready record.
 
-    Top-level (picklable) so a worker process can execute it.  The whole
-    design flow happens inside: build topology, generate the seeded
-    workload, allocate, attach traffic, simulate through the backend
-    protocol — or, for ``mode="serve"`` scenarios, run the online
-    control plane over a seeded churn stream.  An infeasible allocation
-    is a *result* (status ``allocation_failed``), not a crash —
-    campaigns sweep into infeasible corners on purpose.
+    Top-level (picklable) so a worker process can execute it; the
+    scenario's ``mode`` picks the executor.
     """
-    scenario = run.scenario
-    if scenario.mode == "serve":
-        return _execute_serve_run(run)
-    if scenario.mode == "replay":
-        return _execute_replay_run(run)
-    if scenario.mode == "faults":
-        return _execute_faults_run(run)
-    if scenario.mode == "fairness":
-        return _execute_fairness_run(run)
-    if scenario.mode == "synthetic":
-        return _execute_synthetic_run(run)
-    if scenario.mode == "design":
+    mode = run.scenario.mode
+    if mode == "design":
         from repro.design.explorer import execute_design_run
         return execute_design_run(run)
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "backend": scenario.backend,
-        "clocking": scenario.clocking,
-        "topology": scenario.topology.label,
-        "traffic": scenario.traffic.pattern,
-        "n_slots": scenario.n_slots,
-    }
+    return _EXECUTORS[mode](run)
+
+
+def _record_header(run: RunSpec, **fields: object) -> dict[str, object]:
+    """The fields every campaign record starts with, plus ``fields``."""
+    return {"run_id": run.run_id, "scenario": run.scenario.name,
+            "seed": run.seed, **fields}
+
+
+def _settle(record: dict[str, object], body, *,
+            allocation_status: str = "configuration_failed"
+            ) -> dict[str, object]:
+    """Complete ``record`` with ``body()``'s result, or its failure.
+
+    An allocation or configuration failure is a *result*, not a crash —
+    campaigns sweep into infeasible corners on purpose.
+    """
     try:
+        result = body()
+    except AllocationError as exc:
+        record.update(status=allocation_status, error=str(exc))
+    except ConfigurationError as exc:
+        record.update(status="configuration_failed", error=str(exc))
+    else:
+        record.update(status="ok", result=result)
+    return record
+
+
+def _execute_simulate_run(run: RunSpec) -> dict[str, object]:
+    """Execute one ``mode="simulate"`` run: allocate, then simulate."""
+    scenario = run.scenario
+
+    def body():
         topology = scenario.topology.build()
         use_case, mapping = scenario.workload.build(
             topology, derive_seed(run.run_seed, "workload", run.seed))
@@ -126,20 +132,15 @@ def execute_run(run: RunSpec) -> dict[str, object]:
         backend = create_backend(scenario.backend, config, **options)
         traffic = scenario.traffic.build(
             config, derive_seed(run.run_seed, "traffic", run.seed))
-        result = backend.run(SimRequest(
+        return backend.run(SimRequest(
             n_slots=scenario.n_slots, traffic=traffic,
-            seed=run.run_seed % (2 ** 31)))
-    except AllocationError as exc:
-        record["status"] = "allocation_failed"
-        record["error"] = str(exc)
-        return record
-    except ConfigurationError as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    record["result"] = result.to_record()
-    return record
+            seed=run.run_seed % (2 ** 31))).to_record()
+
+    return _settle(_record_header(
+        run, backend=scenario.backend, clocking=scenario.clocking,
+        topology=scenario.topology.label,
+        traffic=scenario.traffic.pattern, n_slots=scenario.n_slots),
+        body, allocation_status="allocation_failed")
 
 
 def _safe_execute_run(run: RunSpec) -> dict[str, object]:
@@ -205,54 +206,62 @@ def _execute_synthetic_run(run: RunSpec) -> dict[str, object]:
         digest = int.from_bytes(
             hashlib.sha256(digest.to_bytes(8, "big")).digest()[:8],
             "big") >> 1
-    return {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "synthetic",
-        "topology": scenario.topology.label,
-        "work": spec.work,
-        "status": "ok",
-        "result": {"digest": digest},
-    }
+    return _record_header(run, mode="synthetic",
+                          topology=scenario.topology.label,
+                          work=spec.work, status="ok",
+                          result={"digest": digest})
+
+
+def _chain_record(run: RunSpec, churn, body, **fields: object
+                  ) -> dict[str, object]:
+    """One control-plane run's record: header, then ``body``'s result.
+
+    ``body(topology, events, options)`` runs the mode's chain over the
+    run's seeded churn stream at the scenario's operating point
+    (``options``: table size, frequency, name, seed).  Serve runs take
+    the whole stream; the other
+    modes cut it at three quarters of its length, so sessions whose
+    close falls in the dropped tail are still open at the cut — the
+    replay's survivors.
+    """
+    from repro.service.churn import ChurnWorkload
+
+    scenario = run.scenario
+    options = {"table_size": scenario.table_size,
+               "frequency_hz": scenario.frequency_mhz * 1e6,
+               "name": scenario.name, "seed": run.seed}
+
+    def run_chain():
+        topology = scenario.topology.build()
+        workload = ChurnWorkload(
+            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
+        return body(topology, workload.events(
+            limit=None if scenario.mode == "serve"
+            else 3 * churn.n_sessions // 2), options)
+
+    return _settle(_record_header(
+        run, mode=scenario.mode, topology=scenario.topology.label,
+        churn=churn.label, table_size=scenario.table_size, **fields),
+        run_chain)
 
 
 def _execute_serve_run(run: RunSpec) -> dict[str, object]:
     """Execute one ``mode="serve"`` run: churn over the control plane."""
-    from repro.service.churn import ChurnSpec, ChurnWorkload
-    from repro.service.controller import SessionService
+    from repro.service.churn import ChurnSpec
+    from repro.service.demo import serve_churn
 
     scenario = run.scenario
     churn = scenario.churn or ChurnSpec()
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "serve",
-        "topology": scenario.topology.label,
-        "churn": churn.label,
-        "table_size": scenario.table_size,
-    }
-    if scenario.policy != "fcfs":
-        record["policy"] = scenario.policy
-    try:
-        topology = scenario.topology.build()
-        workload = ChurnWorkload(
-            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
-        service = SessionService(
-            topology, table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6,
-            name=scenario.name, seed=run.seed, record_events=False,
-            policy=scenario.policy,
-            tenants=churn.tenants if scenario.policy == "wfq" else ())
-        report = service.run(workload.events())
-    except (AllocationError, ConfigurationError) as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    record["result"] = report.to_record()
-    return record
+    wfq = scenario.policy == "wfq"
+
+    def body(topology, events, options):
+        report, _ = serve_churn(
+            topology, events, policy=scenario.policy,
+            tenants=churn.tenants if wfq else (), **options)
+        return report.to_record()
+
+    return _chain_record(run, churn, body,
+                         **({"policy": scenario.policy} if wfq else {}))
 
 
 def _execute_fairness_run(run: RunSpec) -> dict[str, object]:
@@ -264,95 +273,40 @@ def _execute_fairness_run(run: RunSpec) -> dict[str, object]:
     per-tenant retention table and verdict flags (see
     :func:`~repro.service.fairness_demo.fairness_comparison`).
     """
-    from repro.service.churn import ChurnWorkload
     from repro.service.fairness_demo import (demo_fairness_spec,
                                              fairness_churn_spec,
                                              fairness_comparison)
 
-    scenario = run.scenario
-    churn = scenario.churn or fairness_churn_spec(1000)
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "fairness",
-        "policy": "wfq",
-        "topology": scenario.topology.label,
-        "churn": churn.label,
-        "table_size": scenario.table_size,
-    }
-    try:
-        topology = scenario.topology.build()
-        workload = ChurnWorkload(
-            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
-        events = workload.events(limit=3 * churn.n_sessions // 2)
-        comparison = fairness_comparison(
+    churn = run.scenario.churn or fairness_churn_spec(1000)
+
+    def body(topology, events, options):
+        record, _ = fairness_comparison(
             topology, events, churn.tenants,
-            table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6,
-            fairness=demo_fairness_spec(), name=scenario.name,
-            seed=run.seed)
-    except (AllocationError, ConfigurationError) as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
+            fairness=demo_fairness_spec(), **options)
         return record
-    record["status"] = "ok"
-    record["result"] = {k: v for k, v in comparison.items()
-                        if not k.startswith("_")}
-    return record
+
+    return _chain_record(run, churn, body, policy="wfq")
 
 
 def _execute_replay_run(run: RunSpec) -> dict[str, object]:
-    """Execute one ``mode="replay"`` run: record churn, replay, verify.
-
-    The event stream is truncated at three quarters of its length so
-    sessions whose close falls in the dropped tail are still open at
-    the cut — those become the replay's survivors.
-    """
-    from repro.service.churn import ChurnSpec, ChurnWorkload
-    from repro.service.controller import SessionService
-    from repro.simulation.composability import (replay_traffic,
-                                                verify_timeline)
+    """Execute one ``mode="replay"`` run: record churn, replay, verify."""
+    from repro.service.churn import ChurnSpec
+    from repro.simulation.replay import replay_churn
 
     scenario = run.scenario
     churn = scenario.churn or ChurnSpec()
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "replay",
-        "backend": scenario.backend,
-        "topology": scenario.topology.label,
-        "churn": churn.label,
-        "n_slots": scenario.n_slots,
-        "table_size": scenario.table_size,
-    }
-    try:
-        topology = scenario.topology.build()
-        workload = ChurnWorkload(
-            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
-        events = workload.events(limit=3 * churn.n_sessions // 2)
-        service = SessionService(
-            topology, table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6,
-            name=scenario.name, seed=run.seed, record_events=False,
-            record_timeline=True)
-        service.run(events)
-        timeline = service.timeline(horizon_slots=scenario.n_slots)
-        report = verify_timeline(
-            timeline, replay_traffic(timeline),
+
+    def body(topology, events, options):
+        outcome = replay_churn(
+            topology, events, horizon_slots=scenario.n_slots,
             backend_factory=lambda config: create_backend(
-                scenario.backend, config),
-            scenario=scenario.name)
-    except (AllocationError, ConfigurationError) as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    result = report.to_record()
-    result["n_channels"] = len(timeline.channel_names)
-    record["result"] = result
-    return record
+                scenario.backend, config), **options)
+        result = outcome.verdict.to_record()
+        result["n_channels"] = len(outcome.timeline.channel_names)
+        return result
+
+    return _chain_record(run, churn, body, backend=scenario.backend,
+                         n_slots=scenario.n_slots)
 
 
 def _execute_faults_run(run: RunSpec) -> dict[str, object]:
@@ -365,61 +319,49 @@ def _execute_faults_run(run: RunSpec) -> dict[str, object]:
     """
     from repro.faults.demo import run_churn_with_faults, survivability_record
     from repro.faults.model import FaultSchedule, FaultSpec
-    from repro.service.churn import ChurnSpec, ChurnWorkload
+    from repro.service.churn import ChurnSpec
 
     scenario = run.scenario
     churn = scenario.churn or ChurnSpec()
     fault_spec = scenario.faults or FaultSpec()
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "faults",
-        "backend": scenario.backend,
-        "topology": scenario.topology.label,
-        "churn": churn.label,
-        "faults": fault_spec.label,
-        "n_slots": scenario.n_slots,
-        "table_size": scenario.table_size,
-    }
-    try:
-        topology = scenario.topology.build()
-        workload = ChurnWorkload(
-            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
-        events = workload.events(limit=3 * churn.n_sessions // 2)
+
+    def body(topology, events, options):
         schedule = FaultSchedule(
             fault_spec, topology,
             derive_seed(run.run_seed, "faults", run.seed))
-        outcome = run_churn_with_faults(
-            topology, events, schedule,
-            table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6,
-            horizon_slots=scenario.n_slots, name=scenario.name,
-            seed=run.seed,
+        baseline, degraded = run_churn_with_faults(
+            topology, events, schedule, horizon_slots=scenario.n_slots,
             backend_factory=lambda config: create_backend(
-                scenario.backend, config),
-            scenario=scenario.name)
-    except (AllocationError, ConfigurationError) as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    record["result"] = {
-        "survivability": survivability_record(
-            outcome.baseline.totals, outcome.faulty.totals,
-            outcome.faulty.faults),
-        "faults": outcome.faulty.faults,
-        "totals": outcome.faulty.totals,
-        "invariant": outcome.faulty.invariant,
-        "composability": outcome.verdict.to_record(),
-        "n_channels": len(outcome.timeline.channel_names),
-    }
-    return record
+                scenario.backend, config), **options)
+        faulty = degraded.report
+        return {
+            "survivability": survivability_record(
+                baseline.totals, faulty.totals, faulty.faults),
+            "faults": faulty.faults,
+            "totals": faulty.totals,
+            "invariant": faulty.invariant,
+            "composability": degraded.verdict.to_record(),
+            "n_channels": len(degraded.timeline.channel_names),
+        }
+
+    return _chain_record(run, churn, body, backend=scenario.backend,
+                         faults=fault_spec.label, n_slots=scenario.n_slots)
+
+
+#: Run executors by scenario mode (``design`` imports lazily, above).
+_EXECUTORS = {
+    "simulate": _execute_simulate_run, "serve": _execute_serve_run,
+    "replay": _execute_replay_run, "faults": _execute_faults_run,
+    "fairness": _execute_fairness_run,
+    "synthetic": _execute_synthetic_run,
+}
 
 
 def _summary_row(record: dict[str, object]) -> dict[str, object]:
     """One per-run table row for :func:`~repro.experiments.report.
-    format_table`; shared by streaming and keep-records aggregation."""
+    format_table`; shared by streaming and keep-records aggregation.
+    The mode-specific columns follow the record's ``mode`` (simulate
+    records carry none)."""
     row: dict[str, object] = {
         "run": record["run_id"],
         "backend": record.get("backend", record.get("mode", "serve")),
@@ -428,47 +370,44 @@ def _summary_row(record: dict[str, object]) -> dict[str, object]:
         "status": record["status"],
     }
     result = record.get("result")
-    if isinstance(result, dict):
-        if "survivability" in result:  # faults-mode record
-            surv = result["survivability"]
-            row["traffic"] = record.get("faults", "-")
-            row["messages"] = result["totals"]["n_events"]
-            row["survival"] = surv["session_survival"]
-            row["retention"] = surv["guarantee_retention"]
-            row["status"] = (
-                f"{record['status']}/"
-                f"{'composable' if result['composability']['composable'] else 'diverged'}")
-        elif "area" in result:  # design-mode record
-            row["messages"] = result["n_channels"]
-            row["area_mm2"] = round(
-                result["area"]["total_um2"] / 1e6, 4)
-            row["mhz"] = result["operating_frequency_mhz"]
-        elif "retention" in result and "checks" in result:
-            # fairness-mode record
-            checks = result["checks"]
-            row["messages"] = result["wfq"]["totals"]["n_events"]
-            row["retention"] = checks["min_well_behaved_retention"]
-            row["status"] = (
-                f"{record['status']}/"
-                f"{'fair' if checks['wfq_retention_ok'] else 'unfair'}")
-        elif "totals" in result:  # serve-mode record
-            totals = result["totals"]
-            row["messages"] = totals["n_events"]
-            row["accept"] = totals["accept_rate"]
-        elif "composable" in result:  # replay-mode record
-            row["messages"] = result["n_channels"]
-            row["status"] = (
-                f"{record['status']}/"
-                f"{'composable' if result['composable'] else 'diverged'}")
-        elif "digest" in result:  # synthetic-mode record
-            row["digest"] = result["digest"] % 10 ** 6
-        else:
-            row["messages"] = result["messages_delivered"]
-            latency = result.get("latency_ns")
-            if latency:
-                row["p50_ns"] = latency["p50"]
-                row["p99_ns"] = latency["p99"]
-                row["max_ns"] = latency["max"]
+    if not isinstance(result, dict):
+        return row
+    mode = record.get("mode", "simulate")
+    if mode == "faults":
+        surv = result["survivability"]
+        row["traffic"] = record.get("faults", "-")
+        row["messages"] = result["totals"]["n_events"]
+        row["survival"] = surv["session_survival"]
+        row["retention"] = surv["guarantee_retention"]
+        verdict = ("composable" if result["composability"]["composable"]
+                   else "diverged")
+        row["status"] = f"{record['status']}/{verdict}"
+    elif mode == "design":
+        row["messages"] = result["n_channels"]
+        row["area_mm2"] = round(result["area"]["total_um2"] / 1e6, 4)
+        row["mhz"] = result["operating_frequency_mhz"]
+    elif mode == "fairness":
+        checks = result["checks"]
+        row["messages"] = result["wfq"]["totals"]["n_events"]
+        row["retention"] = checks["min_well_behaved_retention"]
+        verdict = "fair" if checks["wfq_retention_ok"] else "unfair"
+        row["status"] = f"{record['status']}/{verdict}"
+    elif mode == "serve":
+        row["messages"] = result["totals"]["n_events"]
+        row["accept"] = result["totals"]["accept_rate"]
+    elif mode == "replay":
+        row["messages"] = result["n_channels"]
+        verdict = "composable" if result["composable"] else "diverged"
+        row["status"] = f"{record['status']}/{verdict}"
+    elif mode == "synthetic":
+        row["digest"] = result["digest"] % 10 ** 6
+    else:
+        row["messages"] = result["messages_delivered"]
+        latency = result.get("latency_ns")
+        if latency:
+            row["p50_ns"] = latency["p50"]
+            row["p99_ns"] = latency["p99"]
+            row["max_ns"] = latency["max"]
     return row
 
 

@@ -469,23 +469,20 @@ def run_design_demo(*, workers: int = 2, seed: int = 2009,
     import dataclasses
 
     from repro.design.space import demo_space, section7_demo_use_case
-    from repro.telemetry.hub import coalesce
+    from repro.telemetry.hub import coalesce, run_twice
 
-    tel = coalesce(telemetry)
-    with tel.phase("space"):
+    with coalesce(telemetry).phase("space"):
         use_case = section7_demo_use_case(seed)
         space = dataclasses.replace(demo_space(),
                                     spare_capacity=spare_capacity)
 
-    def once(run_telemetry=None) -> DesignReport:
+    def once(run_telemetry, _monitor):
         return DesignExplorer(use_case=use_case, space=space,
                               workers=workers, name="design-demo",
-                              telemetry=run_telemetry).explore()
+                              telemetry=run_telemetry).explore(), None
 
-    with tel.phase("explore"):
-        report = once(telemetry)
-    with tel.phase("verify"):
-        identical = once().to_json() == report.to_json()
+    report, _, identical = run_twice(once, telemetry=telemetry,
+                                     phases=("explore", "verify"))
     if spare_capacity > 0:
         return report, identical, None
     chosen = report.min_area_point()

@@ -33,7 +33,6 @@ _EXPORTS: dict[str, str] = {
     "FaultSpec": "repro.faults.model",
     "FaultEvent": "repro.faults.model",
     "FaultSchedule": "repro.faults.model",
-    "FaultRunOutcome": "repro.faults.demo",
     "run_churn_with_faults": "repro.faults.demo",
     "run_faults_demo": "repro.faults.demo",
     "survivability_record": "repro.faults.demo",

@@ -25,21 +25,11 @@ serve, replay and design demos.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from repro.faults.model import FaultSchedule, FaultSpec
-from repro.simulation.composability import replay_traffic, verify_timeline
 from repro.topology.builders import mesh
 
-__all__ = ["demo_fault_spec", "survivability_record", "FaultRunOutcome",
+__all__ = ["demo_fault_spec", "survivability_record",
            "run_churn_with_faults", "run_faults_demo"]
-
-#: The replay demo's operating point: a 3x3 mesh with two NIs per
-#: router has enough path diversity for rerouting to actually happen.
-DEMO_TABLE_SIZE = 32
-DEMO_FREQUENCY_HZ = 500e6
-
 
 def demo_fault_spec(n_faults: int) -> FaultSpec:
     """The demo adversary: ``n_faults`` failures paced to land inside
@@ -76,77 +66,41 @@ def survivability_record(baseline_totals: dict[str, object],
     }
 
 
-@dataclass
-class FaultRunOutcome:
-    """Everything one churn+faults experiment produces.
-
-    ``baseline`` is the healthy run of the identical churn, ``faulty``
-    the degraded run (its report carries the ``faults`` section),
-    ``timeline`` the replayable churn+fault trace, ``verdict`` the
-    fault-survivor composability check, and ``service`` the degraded
-    service instance (its live allocation feeds rebuild studies).
-    """
-
-    baseline: object
-    faulty: object
-    timeline: object
-    verdict: object
-    service: object
-
-
 def run_churn_with_faults(topology, events, schedule, *,
                           table_size: int, frequency_hz: float,
                           horizon_slots: int, name: str = "faults",
                           seed: int = 0, backend_factory=None,
-                          scenario: str | None = None, telemetry=None,
-                          monitor=None) -> FaultRunOutcome:
+                          telemetry=None, monitor=None):
     """Run identical churn healthy and degraded, then replay and verify.
 
     The single orchestration shared by the demo and the campaign's
-    ``mode="faults"`` runner: healthy baseline, churn merged with the
-    fault schedule (timeline recorded only for the degraded run — the
-    baseline's would be discarded), timeline fit, and the
-    fault-survivor composability check on ``backend_factory`` (default:
-    the flit-level TDM backend).  ``telemetry`` instruments the
-    *degraded* run — that is the one whose admission/fault behaviour is
-    under study.  ``monitor`` (a :class:`~repro.telemetry.monitor.
-    MonitorSpec`) arms the conformance watchdog on the degraded service
-    (quote conformance via ``outcome.service.conformance_report()``)
-    and on the replay verification (``outcome.verdict.conformance``).
+    ``mode="faults"`` runner: the healthy baseline through
+    :func:`~repro.service.demo.serve_churn`, then the churn merged with
+    the fault schedule through :func:`~repro.simulation.replay.
+    replay_churn` (timeline recorded only for the degraded run — the
+    baseline's would be discarded).  ``telemetry`` and ``monitor``
+    instrument the *degraded* run — that is the one whose
+    admission/fault behaviour is under study.  Returns ``(baseline
+    report, degraded ReplayOutcome)``.
     """
-    from repro.service.controller import SessionService, merge_events
+    from repro.service.controller import merge_events
+    from repro.service.demo import serve_churn
+    from repro.simulation.replay import replay_churn
     from repro.telemetry.hub import coalesce
 
-    if monitor is True:
-        from repro.telemetry.monitor import MonitorSpec
-        monitor = MonitorSpec()
-    elif monitor is False:
-        monitor = None
     tel = coalesce(telemetry)
-
-    def service(record_timeline: bool, run_telemetry=None,
-                run_monitor=None) -> SessionService:
-        return SessionService(
-            topology, table_size=table_size, frequency_hz=frequency_hz,
-            name=name, seed=seed, record_events=False,
-            record_timeline=record_timeline, telemetry=run_telemetry,
-            monitor=run_monitor)
-
     with tel.phase("baseline"):
-        baseline_report = service(False).run(events)
+        baseline, _ = serve_churn(topology, events, table_size=table_size,
+                                  frequency_hz=frequency_hz, name=name,
+                                  seed=seed)
     with tel.phase("degraded"):
-        faulty = service(True, telemetry, monitor)
-        faulty_report = faulty.run(
-            merge_events(events, schedule.events()))
-    with tel.phase("verify"):
-        timeline = faulty.timeline(horizon_slots=horizon_slots)
-        verdict = verify_timeline(timeline, replay_traffic(timeline),
-                                  backend_factory=backend_factory,
-                                  scenario=scenario or name,
-                                  monitor=monitor)
-    return FaultRunOutcome(baseline=baseline_report,
-                           faulty=faulty_report, timeline=timeline,
-                           verdict=verdict, service=faulty)
+        degraded = replay_churn(
+            topology, merge_events(events, schedule.events()),
+            table_size=table_size, frequency_hz=frequency_hz,
+            horizon_slots=horizon_slots, name=name, seed=seed,
+            backend_factory=backend_factory, telemetry=telemetry,
+            monitor=monitor)
+    return baseline, degraded
 
 
 def run_faults_demo(*, n_events: int = 240, n_slots: int = 3000,
@@ -170,42 +124,36 @@ def run_faults_demo(*, n_events: int = 240, n_slots: int = 3000,
     # Local imports: campaign.spec imports service.churn which would
     # cycle through the package __init__s at module scope.
     from repro.campaign.spec import derive_seed
-    from repro.service.churn import ChurnSpec, ChurnWorkload
-    from repro.telemetry.hub import coalesce
+    from repro.service.churn import ChurnWorkload
+    from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
+                                    demo_churn_spec)
+    from repro.telemetry.hub import coalesce, run_twice
 
-    tel = coalesce(telemetry)
-    with tel.phase("workload"):
+    with coalesce(telemetry).phase("workload"):
+        # The replay demo's mesh: enough path diversity for rerouting
+        # to actually happen.
         topology = mesh(3, 3, nis_per_router=2)
-        churn = ChurnSpec(n_sessions=max(1, (n_events + 1) // 2 + 8))
-        workload = ChurnWorkload(churn, topology,
+        workload = ChurnWorkload(demo_churn_spec(n_events), topology,
                                  derive_seed(seed, "faults-demo"))
         events = workload.events(limit=n_events)
         schedule = FaultSchedule(
             demo_fault_spec(n_faults), topology,
             derive_seed(seed, "faults-demo", "schedule"))
+    first_fail = next(e for e in schedule.events() if e.action == "fail")
 
-    conformance: list = []
-
-    def one_run(run_telemetry=None, run_monitor=None) -> dict[str, object]:
-        outcome = run_churn_with_faults(
+    def one_run(run_telemetry, run_monitor):
+        baseline, degraded = run_churn_with_faults(
             topology, events, schedule, table_size=DEMO_TABLE_SIZE,
             frequency_hz=DEMO_FREQUENCY_HZ, horizon_slots=n_slots,
-            name="faults-demo", seed=seed, scenario="faults-demo",
-            telemetry=run_telemetry, monitor=run_monitor)
-        if outcome.verdict.conformance is not None:
-            conformance.append(outcome.verdict.conformance)
-        baseline_report = outcome.baseline
-        faulty_report = outcome.faulty
-        timeline = outcome.timeline
-        verdict = outcome.verdict
-        first_fail = next(e for e in schedule.events()
-                          if e.action == "fail")
-        rebuild = outcome.service.allocation.rebuild_excluding(
+            name="faults-demo", seed=seed, telemetry=run_telemetry,
+            monitor=run_monitor)
+        rebuild = degraded.service.allocation.rebuild_excluding(
             failed_links=([first_fail.target]
                           if first_fail.kind == "link" else ()),
             failed_routers=([first_fail.target]
                             if first_fail.kind == "router" else ()),
             telemetry=run_telemetry)
+        faulty = degraded.report
         return {
             "demo": "faults",
             "seed": seed,
@@ -216,21 +164,13 @@ def run_faults_demo(*, n_events: int = 240, n_slots: int = 3000,
                 {"t_ms": round(e.time_s * 1e3, 4), "action": e.action,
                  "kind": e.kind, "target": e.target_label}
                 for e in schedule.events()],
-            "baseline": baseline_report.to_record(),
-            "faulty": faulty_report.to_record(),
+            "baseline": baseline.to_record(),
+            "faulty": faulty.to_record(),
             "survivability": survivability_record(
-                baseline_report.totals, faulty_report.totals,
-                faulty_report.faults),
-            "composability": verdict.to_record(),
+                baseline.totals, faulty.totals, faulty.faults),
+            "composability": degraded.verdict.to_record(),
             "rebuild_first_failure": rebuild.to_record(),
-        }
+        }, degraded.verdict.conformance
 
-    first = one_run(telemetry, monitor)
-    with tel.phase("re-run"):
-        first_json = json.dumps(first, indent=2, sort_keys=True)
-        second_json = json.dumps(one_run(), indent=2, sort_keys=True)
-    if conformance:
-        # Added after both dumps on purpose: the conformance artifact
-        # rides along for the CLI without entering the canonical record.
-        first["_conformance"] = conformance[0]
-    return first, first_json, first_json == second_json
+    return run_twice(one_run, telemetry=telemetry, monitor=monitor,
+                     phases=("faults", "re-run"))

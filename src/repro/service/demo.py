@@ -1,11 +1,16 @@
-"""The ``python -m repro serve --demo`` flow.
+"""The serve chain and the ``python -m repro serve --demo`` flow.
 
-Runs a seeded churn trace on the Section VII mesh (4x3 concentrated
-mesh, 4 NIs per router, 32-slot tables at 500 MHz) end to end — twice.
-The second run replays the identical event stream against a fresh
-service instance and the demo asserts the two canonical JSON reports
-are byte-identical, the same self-check the campaign CLI performs for
-its serial/parallel split.
+:func:`serve_churn` is the one place a churn stream meets a
+:class:`~repro.service.controller.SessionService`: the campaign's
+``mode="serve"`` runs, this demo, the fairness comparison and the
+replay and fault chains all call it.
+
+The demo runs a seeded churn trace on the Section VII mesh (4x3
+concentrated mesh, 4 NIs per router, 32-slot tables at 500 MHz) end to
+end — twice.  The second run replays the identical event stream against
+a fresh service instance and the demo asserts the two canonical JSON
+reports are byte-identical, the same self-check the campaign CLI
+performs for its serial/parallel split.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from repro.service.controller import SessionService
 from repro.service.metrics import ServiceReport
 from repro.topology.builders import concentrated_mesh
 
-__all__ = ["demo_churn_spec", "run_demo"]
+__all__ = ["demo_churn_spec", "serve_churn", "run_demo"]
 
 #: Section VII operating point.
 DEMO_TABLE_SIZE = 32
@@ -27,6 +32,24 @@ def demo_churn_spec(n_events: int) -> ChurnSpec:
     # Every session contributes at most two events; generate a small
     # surplus so truncation, not exhaustion, decides the stream length.
     return ChurnSpec(n_sessions=max(1, (n_events + 1) // 2 + 8))
+
+
+def serve_churn(topology, events, *, table_size: int,
+                frequency_hz: float, name: str, seed: int = 0,
+                record_events: bool = False, **options
+                ) -> tuple[ServiceReport, SessionService]:
+    """Run one event stream through a fresh control plane.
+
+    ``options`` pass through to :class:`~repro.service.controller.
+    SessionService` (``record_timeline``, ``telemetry``, ``monitor``,
+    ``policy``, ``fairness``, ``tenants``).  Returns the report and the
+    service, whose live allocation, timeline and quote conformance stay
+    available to the caller.
+    """
+    service = SessionService(
+        topology, table_size=table_size, frequency_hz=frequency_hz,
+        name=name, seed=seed, record_events=record_events, **options)
+    return service.run(events), service
 
 
 def run_demo(*, n_events: int = 2000, seed: int = 2009,
@@ -45,30 +68,24 @@ def run_demo(*, n_events: int = 2000, seed: int = 2009,
     # Local import: campaign.spec imports service.churn, so importing it
     # at module scope would cycle through the package __init__s.
     from repro.campaign.spec import derive_seed
-    from repro.telemetry.hub import coalesce
+    from repro.telemetry.hub import coalesce, run_twice
 
-    tel = coalesce(telemetry)
-    with tel.phase("workload"):
+    with coalesce(telemetry).phase("workload"):
         topology = concentrated_mesh(4, 3, nis_per_router=4)
-        spec = demo_churn_spec(n_events)
-        workload = ChurnWorkload(spec, topology,
+        workload = ChurnWorkload(demo_churn_spec(n_events), topology,
                                  derive_seed(seed, "serve-demo"))
         events = workload.events(limit=n_events)
 
-    def one_run(run_telemetry=None, run_monitor=None) -> ServiceReport:
-        service = SessionService(
-            topology, table_size=DEMO_TABLE_SIZE,
+    def one_run(run_telemetry, run_monitor):
+        report, service = serve_churn(
+            topology, events, table_size=DEMO_TABLE_SIZE,
             frequency_hz=DEMO_FREQUENCY_HZ, name="serve-demo",
             seed=seed, record_events=record_events,
             telemetry=run_telemetry, monitor=run_monitor)
-        report = service.run(events)
-        if service.monitor is not None:
-            report.conformance = service.conformance_report(
-                scenario="serve-demo")
-        return report
+        return report, (service.conformance_report(scenario="serve-demo")
+                        if service.monitor is not None else None)
 
-    with tel.phase("serve"):
-        first = one_run(telemetry, monitor)
-    with tel.phase("verify"):
-        second = one_run()
-    return first, first.to_json() == second.to_json()
+    report, _, identical = run_twice(one_run, telemetry=telemetry,
+                                     monitor=monitor,
+                                     phases=("serve", "verify"))
+    return report, identical

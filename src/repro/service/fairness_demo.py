@@ -23,17 +23,14 @@ from __future__ import annotations
 import json
 
 from repro.service.churn import ChurnSpec, ChurnWorkload
-from repro.service.controller import SessionService
+from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
+                                serve_churn)
 from repro.service.fairness import (FairnessSpec, TenantSpec,
                                     abusive_tenant_mix, tenant_events)
 from repro.topology.builders import concentrated_mesh
 
 __all__ = ["fairness_churn_spec", "fairness_comparison",
            "run_fairness_demo", "RETENTION_FLOOR"]
-
-#: Section VII operating point (shared with the serve demo).
-DEMO_TABLE_SIZE = 32
-DEMO_FREQUENCY_HZ = 500e6
 
 #: Minimum contended/solo admission-rate ratio a well-behaved tenant
 #: must retain under the weighted-fair policy.
@@ -85,35 +82,28 @@ def fairness_comparison(topology, events,
                         fairness: FairnessSpec | None = None,
                         name: str = "fairness", seed: int = 0,
                         telemetry=None, monitor=None
-                        ) -> dict[str, object]:
+                        ) -> tuple[dict[str, object], object]:
     """Run wfq vs FCFS vs per-tenant solo over one tagged stream.
 
-    Returns the canonical JSON-ready fairness record: both contended
-    reports, the per-tenant retention table and the verdict flags.
-    Solo baselines run under FCFS (pure capacity, no policy in the
-    way), so retention isolates what *contention* — not the policy —
-    costs each tenant.  ``telemetry``/``monitor`` instrument the wfq
-    run only; a monitored run additionally attaches the per-tenant
-    quote-conformance verdict under the non-canonical ``_conformance``
-    key (stripped before byte-identity comparisons).
+    Returns the canonical JSON-ready fairness record — both contended
+    reports, the per-tenant retention table and the verdict flags —
+    and the wfq run's quote-conformance verdict (``None`` unless
+    ``monitor`` is armed).  Solo baselines run under FCFS (pure
+    capacity, no policy in the way), so retention isolates what
+    *contention* — not the policy — costs each tenant.
+    ``telemetry``/``monitor`` instrument the wfq run only.
     """
-    def one_run(policy: str, run_events, run_name: str,
-                run_telemetry=None, run_monitor=None):
-        service = SessionService(
-            topology, table_size=table_size, frequency_hz=frequency_hz,
-            name=run_name, seed=seed, record_events=False,
-            telemetry=run_telemetry, monitor=run_monitor,
-            policy=policy,
-            fairness=fairness if policy == "wfq" else None,
-            tenants=tenants if policy == "wfq" else ())
-        report = service.run(run_events)
-        conformance = (service.conformance_report(scenario=run_name)
-                       if service.monitor is not None else None)
-        return report, conformance
+    def one_run(run_events, run_name: str, **options):
+        return serve_churn(topology, run_events, table_size=table_size,
+                           frequency_hz=frequency_hz, name=run_name,
+                           seed=seed, **options)
 
-    wfq, conformance = one_run("wfq", events, f"{name}-wfq",
-                               telemetry, monitor)
-    fcfs, _ = one_run("fcfs", events, f"{name}-fcfs")
+    wfq, service = one_run(events, f"{name}-wfq", telemetry=telemetry,
+                           monitor=monitor, policy="wfq",
+                           fairness=fairness, tenants=tenants)
+    conformance = (service.conformance_report(scenario=f"{name}-wfq")
+                   if service.monitor is not None else None)
+    fcfs, _ = one_run(events, f"{name}-fcfs")
     multipliers = [t.rate_multiplier for t in tenants]
     honest = min(multipliers)
     retention: dict[str, dict[str, object]] = {}
@@ -121,7 +111,7 @@ def fairness_comparison(topology, events,
     fcfs_fails = False
     min_retention = 1.0
     for tenant in sorted(tenants, key=lambda t: t.name):
-        solo, _ = one_run("fcfs", tenant_events(events, tenant.name),
+        solo, _ = one_run(tenant_events(events, tenant.name),
                           f"{name}-solo-{tenant.name}")
         solo_rate = _rate((solo.tenants or {}).get(tenant.name))
         wfq_rate = _rate((wfq.tenants or {}).get(tenant.name))
@@ -162,10 +152,7 @@ def fairness_comparison(topology, events,
             "fcfs_fails": fcfs_fails,
         },
     }
-    if conformance is not None:
-        record["_conformance"] = conformance
-    record["_reports"] = (wfq, fcfs)
-    return record
+    return record, conformance
 
 
 def canonical_fairness_json(record: dict[str, object]) -> str:
@@ -189,18 +176,17 @@ def run_fairness_demo(*, n_events: int = 2000, seed: int = 2009,
     never leaks into the report).
     """
     from repro.campaign.spec import derive_seed
-    from repro.telemetry.hub import coalesce
+    from repro.telemetry.hub import coalesce, run_twice
 
-    tel = coalesce(telemetry)
-    with tel.phase("workload"):
+    with coalesce(telemetry).phase("workload"):
         topology = concentrated_mesh(4, 3, nis_per_router=4)
         spec = fairness_churn_spec(n_events, multiplier=multiplier)
         workload = ChurnWorkload(spec, topology,
                                  derive_seed(seed, "fairness-demo"))
         events = workload.events(limit=n_events)
 
-    def one_pass(pass_telemetry=None, pass_monitor=None):
-        record = fairness_comparison(
+    def one_pass(pass_telemetry, pass_monitor):
+        record, conformance = fairness_comparison(
             topology, events, spec.tenants,
             table_size=DEMO_TABLE_SIZE,
             frequency_hz=DEMO_FREQUENCY_HZ,
@@ -210,12 +196,7 @@ def run_fairness_demo(*, n_events: int = 2000, seed: int = 2009,
         record["seed"] = seed
         record["n_events"] = len(events)
         record["topology"] = topology.name
-        return record
+        return record, conformance
 
-    with tel.phase("compare"):
-        first = one_pass(telemetry, monitor)
-    with tel.phase("verify"):
-        second = one_pass()
-    first_json = canonical_fairness_json(first)
-    return first, first_json, first_json == canonical_fairness_json(
-        second)
+    return run_twice(one_pass, telemetry=telemetry, monitor=monitor,
+                     phases=("compare", "verify"))

@@ -25,17 +25,61 @@ the Section VII mesh relative to its size, so best-effort sharing
 
 from __future__ import annotations
 
-import json
+from dataclasses import dataclass
 
-from repro.simulation.backend import BestEffortBackend
+from repro.simulation.backend import BestEffortBackend, FlitLevelBackend
 from repro.simulation.composability import replay_traffic, verify_timeline
 from repro.topology.builders import mesh
 
-__all__ = ["run_replay_demo"]
+__all__ = ["ReplayOutcome", "replay_churn", "run_replay_demo"]
 
-#: The serve demo's operating point, on a denser (relative) mesh.
-DEMO_TABLE_SIZE = 32
-DEMO_FREQUENCY_HZ = 500e6
+@dataclass
+class ReplayOutcome:
+    """Everything one record-and-replay run produces.
+
+    ``report`` is the control plane's report, ``service`` the service
+    instance (its live allocation feeds rebuild studies), ``timeline``
+    the recorded churn fitted into the simulation horizon and
+    ``verdict`` the survivors' dynamic composability check.
+    """
+
+    report: object
+    service: object
+    timeline: object
+    verdict: object
+
+
+def replay_churn(topology, events, *, table_size: int,
+                 frequency_hz: float, horizon_slots: int, name: str,
+                 seed: int = 0, backend_factory=None, telemetry=None,
+                 monitor=None) -> ReplayOutcome:
+    """Serve a stream with timeline recording on, replay it, verify it.
+
+    The replay chain shared by the campaign's ``mode="replay"`` runs,
+    this demo and :func:`~repro.faults.demo.run_churn_with_faults`:
+    :func:`~repro.service.demo.serve_churn`, the timeline fitted into
+    ``horizon_slots``, and :func:`~repro.simulation.composability.
+    verify_timeline` on ``backend_factory`` (default: the flit-level
+    TDM backend, instrumented by ``telemetry`` like the service).
+    ``monitor`` arms the conformance watchdog on the service (quote
+    conformance via ``outcome.service.conformance_report()``) and on
+    the verification (``outcome.verdict.conformance``).
+    """
+    from repro.service.demo import serve_churn
+
+    report, service = serve_churn(
+        topology, events, table_size=table_size,
+        frequency_hz=frequency_hz, name=name, seed=seed,
+        record_timeline=True, telemetry=telemetry, monitor=monitor)
+    timeline = service.timeline(horizon_slots=horizon_slots)
+    if backend_factory is None:
+        def backend_factory(config):
+            return FlitLevelBackend(config, telemetry=telemetry)
+    verdict = verify_timeline(timeline, replay_traffic(timeline),
+                              backend_factory=backend_factory,
+                              scenario=name, monitor=monitor)
+    return ReplayOutcome(report=report, service=service,
+                         timeline=timeline, verdict=verdict)
 
 
 def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
@@ -57,43 +101,29 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
     # Local imports: campaign.spec imports service.churn which would
     # cycle through the package __init__s at module scope.
     from repro.campaign.spec import derive_seed
-    from repro.service.churn import ChurnSpec, ChurnWorkload
-    from repro.service.controller import SessionService
-    from repro.simulation.backend import FlitLevelBackend
-    from repro.telemetry.hub import coalesce
+    from repro.service.churn import ChurnWorkload
+    from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
+                                    demo_churn_spec)
+    from repro.telemetry.hub import coalesce, run_twice
 
-    tel = coalesce(telemetry)
-    with tel.phase("workload"):
+    with coalesce(telemetry).phase("workload"):
+        # The serve demo's operating point, on a denser (relative) mesh.
         topology = mesh(3, 3, nis_per_router=2)
-        # Every session contributes at most two events; generate a small
-        # surplus so truncation decides the stream length and some
-        # sessions are still open at the cut — the replay's survivors.
-        spec = ChurnSpec(n_sessions=max(1, (n_events + 1) // 2 + 8))
-        workload = ChurnWorkload(spec, topology,
+        # Truncation leaves some sessions open at the cut — the
+        # replay's survivors.
+        workload = ChurnWorkload(demo_churn_spec(n_events), topology,
                                  derive_seed(seed, "replay-demo"))
         events = workload.events(limit=n_events)
 
-    conformance: list = []
-
-    def one_run(run_telemetry=None, run_monitor=None) -> dict[str, object]:
-        run_tel = coalesce(run_telemetry)
-        service = SessionService(
-            topology, table_size=DEMO_TABLE_SIZE,
-            frequency_hz=DEMO_FREQUENCY_HZ, name="replay-demo",
-            seed=seed, record_events=False, record_timeline=True,
-            telemetry=run_telemetry)
-        service.run(events)
-        timeline = service.timeline(horizon_slots=n_slots)
-        traffic = replay_traffic(timeline)
-        flit = verify_timeline(
-            timeline, traffic, scenario="replay-demo",
-            monitor=run_monitor,
-            backend_factory=lambda config: FlitLevelBackend(
-                config, telemetry=run_telemetry))
-        if flit.conformance is not None:
-            conformance.append(flit.conformance)
-        with run_tel.phase("best-effort"):
-            be = verify_timeline(timeline, traffic,
+    def one_run(run_telemetry, run_monitor):
+        outcome = replay_churn(
+            topology, events, table_size=DEMO_TABLE_SIZE,
+            frequency_hz=DEMO_FREQUENCY_HZ, horizon_slots=n_slots,
+            name="replay-demo", seed=seed, telemetry=run_telemetry,
+            monitor=run_monitor)
+        timeline = outcome.timeline
+        with coalesce(run_telemetry).phase("best-effort"):
+            be = verify_timeline(timeline, replay_traffic(timeline),
                                  backend_factory=BestEffortBackend,
                                  scenario="replay-demo")
         return {
@@ -102,17 +132,9 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
             "n_events": len(events),
             "horizon_slots": n_slots,
             "timeline": timeline.to_record(),
-            "verdicts": {"flit": flit.to_record(),
+            "verdicts": {"flit": outcome.verdict.to_record(),
                          "be": be.to_record()},
-        }
+        }, outcome.verdict.conformance
 
-    with tel.phase("replay"):
-        first = one_run(telemetry, monitor)
-    with tel.phase("verify"):
-        first_json = json.dumps(first, indent=2, sort_keys=True)
-        second_json = json.dumps(one_run(), indent=2, sort_keys=True)
-    if conformance:
-        # Added after both dumps on purpose: the conformance artifact
-        # rides along for the CLI without entering the canonical record.
-        first["_conformance"] = conformance[0]
-    return first, first_json, first_json == second_json
+    return run_twice(one_run, telemetry=telemetry, monitor=monitor,
+                     phases=("replay", "verify"))

@@ -16,6 +16,7 @@ own Chrome-trace process, and never fold back into reports.
 
 from __future__ import annotations
 
+import json
 import time
 from contextlib import contextmanager
 from typing import Iterable, Iterator
@@ -26,7 +27,8 @@ from repro.telemetry.metrics import (Counter, Gauge, Histogram,
                                      NULL_GAUGE, NULL_HISTOGRAM)
 from repro.telemetry.spans import CounterTrack, Span
 
-__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "coalesce"]
+__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "coalesce",
+           "run_twice"]
 
 
 class Telemetry:
@@ -248,3 +250,40 @@ def coalesce(telemetry: Telemetry | None) -> Telemetry:
     True
     """
     return telemetry if telemetry is not None else NULL_TELEMETRY
+
+
+def run_twice(one_run, *, telemetry: Telemetry | None = None,
+              monitor=None, phases: tuple[str, str] = ("run", "verify")):
+    """Run a flow instrumented, then bare; compare the canonical JSON.
+
+    ``one_run(telemetry, monitor)`` returns ``(result, conformance)``.
+    Only the first run gets the hub and the monitor, so byte-identity
+    of the two renderings doubles as proof that neither leaks into the
+    report.  ``result`` is a dict (rendered with sorted keys, indent 2)
+    or has ``to_json()``.  The first run's conformance artifact is
+    attached only after both renderings: under ``"_conformance"`` on a
+    dict, as ``.conformance`` otherwise.  Returns ``(result,
+    canonical_json, identical)``.
+
+    >>> result, text, identical = run_twice(
+    ...     lambda tel, monitor: ({"n": 1}, None))
+    >>> identical, text.splitlines()
+    (True, ['{', '  "n": 1', '}'])
+    """
+    def render(result) -> str:
+        if isinstance(result, dict):
+            return json.dumps(result, indent=2, sort_keys=True)
+        return result.to_json()
+
+    tel = coalesce(telemetry)
+    with tel.phase(phases[0]):
+        first, conformance = one_run(telemetry, monitor)
+    with tel.phase(phases[1]):
+        first_json = render(first)
+        identical = first_json == render(one_run(None, None)[0])
+    if conformance is not None:
+        if isinstance(first, dict):
+            first["_conformance"] = conformance
+        else:
+            first.conformance = conformance
+    return first, first_json, identical

@@ -522,16 +522,13 @@ def campaign_conformance(records, *, spec: MonitorSpec | None = None,
                              slack_fraction=spec.slack_fraction)
 
 
-#: Campaign statuses that are search verdicts, not failures (mirrors
-#: ``repro.campaign.runner._NON_FAILURE_STATUSES``).
-_RUN_OK_STATUSES = ("ok", "pruned", "infeasible")
-
-
 def _run_conformance(record: dict) -> ChannelConformance:
     """Classify one campaign record into a run-level verdict."""
+    from repro.campaign.runner import _NON_FAILURE_STATUSES
+
     run_id = str(record.get("run", record.get("scenario", "?")))
     status = record.get("status", "ok")
-    if status not in _RUN_OK_STATUSES:
+    if status not in _NON_FAILURE_STATUSES:
         return ChannelConformance(channel=run_id, kind="run",
                                   verdict="violated",
                                   detail=f"status={status}")

@@ -475,13 +475,13 @@ class TestTableSizeScanColumns:
         areas = [r.network_area_um2 for r in feasible]
         assert areas == sorted(areas)
 
-    def test_deprecated_shim_still_works(self):
+    def test_search_helpers_live_only_in_design(self):
         import importlib
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = importlib.import_module("repro.core.exploration")
-        assert shim.min_feasible_frequency is min_feasible_frequency
-        from repro.core import TableSizeResult as core_result
-        from repro.design.search import TableSizeResult
-        assert core_result is TableSizeResult
+
+        import repro.core
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.exploration")
+        for name in ("min_feasible_frequency", "table_size_scan",
+                     "TableSizeResult"):
+            assert name not in repro.core.__all__
+            assert not hasattr(repro.core, name)
