@@ -11,6 +11,8 @@ warmed by a first full pass, so the measurement tracks the admission
 which is the figure the service is engineered around: the issue target
 is >= 10k session events/sec, asserted here and recorded in
 ``extra_info`` so the trajectory lands in ``--benchmark-json`` output.
+With ``--bench-record`` the measured round is also appended to
+``benchmarks/records/BENCH_service_churn.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ def service_churn_enabled(request):
         pytest.skip("pass --service-churn to run the churn benchmark")
 
 
-def test_service_churn_throughput(benchmark, service_churn_enabled):
+def test_service_churn_throughput(benchmark, service_churn_enabled,
+                                  bench_record):
     topology = concentrated_mesh(4, 3, nis_per_router=4)
     workload = ChurnWorkload(
         ChurnSpec(n_sessions=5000, arrival_rate_per_s=5000.0),
@@ -66,6 +69,8 @@ def test_service_churn_throughput(benchmark, service_churn_enabled):
     # Determinism under churn: the warm and measured runs replay the
     # identical stream, so their canonical reports must be byte-equal.
     assert report.to_json() == warm_report.to_json()
+    bench_record("service_churn", wall_s=wall_s, ops_per_s=events_per_s,
+                 n_events=len(events))
     assert events_per_s >= TARGET_EVENTS_PER_S, (
         f"admission hot path regressed: {events_per_s:,.0f} events/s "
         f"< {TARGET_EVENTS_PER_S:,} target")

@@ -31,6 +31,7 @@ behind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 from repro.core.connection import ChannelSpec
@@ -47,7 +48,7 @@ from repro.topology.routing import (k_shortest_paths, merge_load_aware,
                                     weighted_shortest_path)
 
 __all__ = ["ChannelAllocation", "Allocation", "AllocatorOptions",
-           "SlotAllocator", "ChannelVerdict", "RebuildReport",
+           "SlotAllocator", "RouteQuote", "ChannelVerdict", "RebuildReport",
            "excluded_link_keys"]
 
 
@@ -264,19 +265,35 @@ class Allocation:
     ``link_tables`` holds the occupancy of every topology link; it is the
     authoritative record from which NI injection tables are derived and
     against which contention-freedom is (re)validated.
+
+    ``channels`` is a read-only view: :meth:`commit` and :meth:`release`
+    are the only mutators, so an attached mutation journal
+    (:meth:`open_journal`) sees every change.
     """
 
     topology: Topology
     table_size: int
     frequency_hz: float
     fmt: WordFormat
-    channels: dict[str, ChannelAllocation] = field(default_factory=dict)
-    link_tables: dict[tuple[str, str], SlotTable] = field(default_factory=dict)
+    channels: MappingProxyType[str, ChannelAllocation] = field(init=False)
+    link_tables: dict[tuple[str, str], SlotTable] = field(init=False)
+    #: The same occupancy tables, in :meth:`Topology.link_index` order,
+    #: so routes bound to link indices once per allocator (see
+    #: :class:`RouteQuote`) address any allocation on that topology.
+    tables: list[SlotTable] = field(init=False, repr=False, compare=False)
+    #: Names :meth:`commit` and :meth:`release` touched since the last
+    #: :meth:`drain_journal`, each with its record before the first touch
+    #: (``None`` when it was absent).  ``None`` while nobody listens, so
+    #: unobserved allocations pay one ``is None`` test per mutation.
+    journal: dict[str, ChannelAllocation | None] | None = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        if not self.link_tables:
-            self.link_tables = {key: SlotTable(self.table_size)
-                                for key in self.topology.iter_link_keys()}
+        self._channels: dict[str, ChannelAllocation] = {}
+        self.channels = MappingProxyType(self._channels)
+        index = self.topology.link_index()
+        self.tables = [SlotTable(self.table_size) for _ in index]
+        self.link_tables = dict(zip(index, self.tables))
 
     # -- queries ------------------------------------------------------------
 
@@ -324,24 +341,38 @@ class Allocation:
 
     # -- mutation (incremental reconfiguration) -------------------------------
 
+    def open_journal(self) -> None:
+        """Start recording the names every later mutation touches."""
+        if self.journal is not None:
+            raise ConfigurationError(
+                "allocation already has a mutation journal reader")
+        self.journal = {}
+
+    def drain_journal(self) -> dict[str, ChannelAllocation | None]:
+        """Hand over an open journal's entries and start an empty one."""
+        touched, self.journal = self.journal, {}
+        return touched
+
     def commit(self, ca: ChannelAllocation) -> None:
         """Add one channel's reservations; rolls back on any conflict."""
-        if ca.spec.name in self.channels:
+        name = ca.spec.name
+        if name in self._channels:
             raise AllocationError(
-                f"channel {ca.spec.name!r} is already allocated",
-                channel=ca.spec.name)
+                f"channel {name!r} is already allocated", channel=name)
         committed: list[tuple[tuple[str, str], int]] = []
         try:
             for key, slots in ca.link_slots(self.table_size).items():
                 table = self._table(key)
                 for slot in sorted(slots):
-                    table.reserve(slot, ca.spec.name)
+                    table.reserve(slot, name)
                     committed.append((key, slot))
         except AllocationError:
             for key, slot in committed:
                 self.link_tables[key].release(slot)
             raise
-        self.channels[ca.spec.name] = ca
+        self._channels[name] = ca
+        if self.journal is not None:
+            self.journal.setdefault(name, None)
 
     def release(self, channel_name: str) -> ChannelAllocation:
         """Remove one channel, freeing its slots on every link."""
@@ -350,7 +381,9 @@ class Allocation:
             table = self._table(key)
             for slot in slots:
                 table.release(slot)
-        del self.channels[channel_name]
+        del self._channels[channel_name]
+        if self.journal is not None:
+            self.journal.setdefault(channel_name, ca)
         return ca
 
     def release_application(self, application: str) -> tuple[str, ...]:
@@ -579,6 +612,26 @@ class Allocation:
 
 
 @dataclass(frozen=True)
+class RouteQuote:
+    """One candidate route priced for one requirement.
+
+    The slot count and latency-gap constraint do not depend on current
+    occupancy, and neither does the route's binding to occupancy-table
+    *indices* (:meth:`Topology.link_index` order, which is also the
+    order of :attr:`Allocation.tables`).  A quote is therefore computed
+    once per allocator and serves every allocation on its topology.
+    """
+
+    path: Path
+    n_slots: int
+    max_gap: int | None
+    #: ``(table index, slot shift mod table size)`` per traversed link.
+    links: tuple[tuple[int, int], ...]
+    #: Traversed link keys, for the degraded-mode exclusion check.
+    link_keys: frozenset[tuple[str, str]]
+
+
+@dataclass(frozen=True)
 class AllocatorOptions:
     """Tunables of the greedy allocator (all deterministic).
 
@@ -632,9 +685,12 @@ class SlotAllocator:
         # cacheable per (src, dst, throughput, latency) — one entry per
         # endpoint pair and QoS class in the admission service.
         self._kpath_cache: dict[tuple[str, str], tuple[Path, ...]] = {}
-        self._quote_cache: dict[
-            tuple[str, str, float, float | None],
-            tuple[tuple[Path, int, int | None], ...]] = {}
+        #: :meth:`route_quotes` results by ``(src NI, dst NI, throughput,
+        #: max latency)``.  Only :meth:`route_quotes` fills it; the
+        #: admission hot path probes it directly, so every service on
+        #: this allocator shares the bound candidates.
+        self.quote_cache: dict[tuple[str, str, float, float | None],
+                               tuple[RouteQuote, ...]] = {}
         #: Directed link keys currently unusable (failed fabric).  The
         #: route caches stay fault-agnostic; the exclusion is applied
         #: when candidates are consulted, so repairs need no
@@ -691,15 +747,15 @@ class SlotAllocator:
         This is the reconfiguration primitive: running applications keep
         their reservations; only new channels acquire slots.
         """
-        self._check_compatible(allocation)
+        self.check_compatible(allocation)
         mapping.validate(self.topology)
         for spec in self._ordered(channels, mapping):
             allocation.commit(self._allocate_one(allocation, spec, mapping))
         allocation.validate()
 
-    # -- internals --------------------------------------------------------------
-
-    def _check_compatible(self, allocation: Allocation) -> None:
+    def check_compatible(self, allocation: Allocation) -> None:
+        """Raise :class:`ConfigurationError` unless ``allocation`` was
+        built for this allocator's topology object and table size."""
         if allocation.table_size != self.table_size:
             raise ConfigurationError(
                 f"allocation table size {allocation.table_size} != "
@@ -707,6 +763,8 @@ class SlotAllocator:
         if allocation.topology is not self.topology:
             raise ConfigurationError(
                 "allocation was built for a different topology object")
+
+    # -- internals --------------------------------------------------------------
 
     def _ordered(self, channels: Sequence[ChannelSpec],
                  mapping: Mapping) -> list[ChannelSpec]:
@@ -760,29 +818,35 @@ class SlotAllocator:
         return cached
 
     def route_quotes(self, src_ni: str, dst_ni: str, spec: ChannelSpec
-                     ) -> tuple[tuple[Path, int, int | None], ...]:
-        """Cached ``(path, n_slots, max_gap)`` per candidate route.
+                     ) -> tuple[RouteQuote, ...]:
+        """Cached :class:`RouteQuote` per candidate route.
 
-        The slot count and latency-gap constraint of a requirement on a
-        path do not depend on current occupancy, so for admission churn
-        they are computed once per (endpoints, requirement) and replayed.
-        Candidates whose traversal alone breaks the latency requirement
-        are dropped; the result may be empty.
+        Computed once per (endpoints, requirement) and replayed for the
+        lifetime of the allocator.  Candidates whose traversal alone
+        breaks the latency requirement are dropped; the result may be
+        empty.
         """
         key = (src_ni, dst_ni, spec.throughput_bytes_per_s,
                spec.max_latency_ns)
-        cached = self._quote_cache.get(key)
+        cached = self.quote_cache.get(key)
         if cached is None:
+            index = self.topology.link_index()
+            size = self.table_size
             quotes = []
             for path in self.shortest_candidates(src_ni, dst_ni):
                 try:
-                    n, gap = slots_for_channel(spec, path, self.table_size,
+                    n, gap = slots_for_channel(spec, path, size,
                                                self.frequency_hz, self.fmt)
                 except AllocationError:
                     continue
-                quotes.append((path, n, gap))
+                quotes.append(RouteQuote(
+                    path=path, n_slots=n, max_gap=gap,
+                    links=tuple((index[link.key], shift % size)
+                                for link, shift in zip(path.links,
+                                                       path.link_shifts)),
+                    link_keys=frozenset(path.link_keys())))
             cached = tuple(quotes)
-            self._quote_cache[key] = cached
+            self.quote_cache[key] = cached
             self._tel_quote_miss.inc()
         else:
             self._tel_quote_hit.inc()

@@ -1,21 +1,25 @@
-"""The admission hot path: cached candidates, bitmask slot search.
+"""The admission hot path: shared candidate bindings, bitmask slot search.
 
 Admitting a session is the same contention-free allocation problem the
 offline :class:`~repro.core.allocation.SlotAllocator` solves, restricted
 to one channel at a time against a live allocation.  What changes is the
 cost model: the offline allocator runs once per use case, the admission
 controller runs per session event, so everything that does not depend on
-the *current* occupancy is precomputed and cached:
+the *current* occupancy is precomputed once per allocator:
 
 * candidate routes come from the allocator's memoised k-shortest cache
   (:meth:`~repro.core.allocation.SlotAllocator.shortest_candidates`);
-* per (source NI, destination NI, requirement) triple, the slot count
-  and latency-gap constraint of every candidate path are computed once
-  (:class:`_Candidate`), together with direct references to the link
-  occupancy tables the path traverses;
-* the per-admission work that remains is one AND per link over integer
-  free-slot bitmasks, a popcount, and the single-anchor spreading
-  heuristic (:func:`~repro.core.slot_table.choose_slots_fast`).
+* per (source NI, destination NI, requirement) key, the slot count and
+  latency-gap constraint of every candidate path are computed once, and
+  the path is bound to occupancy-table *indices* in the topology's link
+  order (:class:`~repro.core.allocation.RouteQuote`).  The bindings live
+  in the allocator's quote cache, so every service on one allocator
+  shares them and a fresh service binds nothing;
+* the per-admission work that remains is one dictionary probe, one AND
+  per link over integer free-slot bitmasks read from
+  :attr:`Allocation.tables <repro.core.allocation.Allocation.tables>`,
+  a popcount, and the single-anchor spreading heuristic
+  (:func:`~repro.core.slot_table.choose_slots_fast`).
 
 Commits go through :meth:`Allocation.commit`, so the authoritative
 bookkeeping — and its rollback-on-conflict guarantee — is shared with
@@ -30,15 +34,12 @@ cost to the healthy hot path (one emptiness check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.allocation import (Allocation, ChannelAllocation,
                                    SlotAllocator)
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError
-from repro.core.path import Path
-from repro.core.slot_table import (SlotTable, choose_slots_fast,
-                                   mask_to_slots, rotate_mask)
+from repro.core.slot_table import (choose_slots_fast, mask_to_slots,
+                                   rotate_mask)
 from repro.telemetry.hub import coalesce
 
 __all__ = ["AdmissionController"]
@@ -48,34 +49,26 @@ __all__ = ["AdmissionController"]
 _WIDTH_BUCKETS = (0, 1, 2, 4, 8, 16, 24, 32)
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """One admissible route with its precomputed slot arithmetic."""
-
-    path: Path
-    n_slots: int
-    max_gap: int | None
-    # (occupancy table, slot shift) per traversed link, resolved once so
-    # the hot loop does no dict lookups.
-    tables: tuple[tuple[SlotTable, int], ...]
-    # Traversed link keys, for the degraded-mode exclusion check.
-    link_keys: frozenset[tuple[str, str]]
-
-
 class AdmissionController:
     """Incremental contention-free admission over one live allocation."""
 
     def __init__(self, allocator: SlotAllocator,
                  allocation: Allocation | None = None, *,
                  telemetry=None):
+        if allocation is None:
+            allocation = Allocation(allocator.topology, allocator.table_size,
+                                    allocator.frequency_hz, allocator.fmt)
+        else:
+            # Quotes address tables by index in the allocator topology's
+            # link order; another topology object's tables would be
+            # misread silently.
+            allocator.check_compatible(allocation)
         self.allocator = allocator
-        self.allocation = allocation or Allocation(
-            allocator.topology, allocator.table_size,
-            allocator.frequency_hz, allocator.fmt)
+        self.allocation = allocation
+        self._tables = allocation.tables
+        self._quotes = allocator.quote_cache
         self._size = allocator.table_size
         self._full = (1 << self._size) - 1
-        self._candidates: dict[tuple[str, str, float, float | None],
-                               tuple[_Candidate, ...]] = {}
         #: Directed link keys currently unusable (failed fabric); empty
         #: on the healthy-network hot path, which therefore pays nothing.
         self.excluded_links: frozenset[tuple[str, str]] = frozenset()
@@ -127,26 +120,37 @@ class AdmissionController:
               dst_ni: str) -> ChannelAllocation:
         """Admit one session channel; raises :class:`AllocationError`.
 
-        Tries the cached candidate routes in deterministic (shortest
-        first) order; the first route whose free-slot intersection can
-        satisfy both the slot count and the gap constraint wins and is
-        committed atomically.  A failed admission commits nothing.
+        Tries the allocator's bound candidate routes in deterministic
+        (shortest first) order; the first route whose free-slot
+        intersection can satisfy both the slot count and the gap
+        constraint wins and is committed atomically.  A failed admission
+        commits nothing.
         """
         if spec.name in self.allocation.channels:
             raise AllocationError(
                 f"session {spec.name!r} is already admitted",
                 channel=spec.name, reason="session already admitted")
+        # Probe the allocator's quote cache under its own key, so a hit
+        # costs no call; only a miss goes through route_quotes.
+        candidates = self._quotes.get((src_ni, dst_ni,
+                                       spec.throughput_bytes_per_s,
+                                       spec.max_latency_ns))
+        if candidates is None:
+            candidates = self.allocator.route_quotes(src_ni, dst_ni, spec)
+            self.path_misses += 1
+        else:
+            self.path_hits += 1
         size = self._size
+        tables = self._tables
         excluded = self.excluded_links
-        candidates = self._lookup(spec, src_ni, dst_ni)
         n_usable = 0
         for cand in candidates:
             if excluded and not excluded.isdisjoint(cand.link_keys):
                 continue
             n_usable += 1
             mask = self._full
-            for table, shift in cand.tables:
-                mask &= rotate_mask(table.free_mask, shift, size)
+            for index, shift in cand.links:
+                mask &= rotate_mask(tables[index].free_mask, shift, size)
                 if not mask:
                     break
             width = mask.bit_count()
@@ -208,34 +212,3 @@ class AdmissionController:
         for width in self._pending_widths:
             observe(width)
         self._pending_widths.clear()
-
-    # -- cold path ------------------------------------------------------------
-
-    def _lookup(self, spec: ChannelSpec, src_ni: str,
-                dst_ni: str) -> tuple[_Candidate, ...]:
-        key = (src_ni, dst_ni, spec.throughput_bytes_per_s,
-               spec.max_latency_ns)
-        cached = self._candidates.get(key)
-        if cached is None:
-            cached = self._build_candidates(spec, src_ni, dst_ni)
-            self._candidates[key] = cached
-            self.path_misses += 1
-        else:
-            self.path_hits += 1
-        return cached
-
-    def _build_candidates(self, spec: ChannelSpec, src_ni: str,
-                          dst_ni: str) -> tuple[_Candidate, ...]:
-        # Slot arithmetic comes from the allocator's cross-instance quote
-        # cache; this controller only binds the routes to its own
-        # allocation's occupancy tables.
-        out = []
-        for path, n, gap in self.allocator.route_quotes(src_ni, dst_ni,
-                                                        spec):
-            tables = tuple(
-                (self.allocation.link_tables[link.key], shift % self._size)
-                for link, shift in zip(path.links, path.link_shifts))
-            out.append(_Candidate(path=path, n_slots=n, max_gap=gap,
-                                  tables=tables,
-                                  link_keys=frozenset(path.link_keys())))
-        return tuple(out)

@@ -81,6 +81,7 @@ class Topology:
         self._graph = nx.DiGraph()
         self._next_out_port: dict[str, int] = {}
         self._next_in_port: dict[str, int] = {}
+        self._link_index: dict[tuple[str, str], int] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -120,6 +121,7 @@ class Topology:
                     dst_port=self._take_in_port(dst),
                     pipeline_stages=pipeline_stages)
         self._graph.add_edge(src, dst, link=link)
+        self._link_index = None
         return link
 
     def connect_bidir(self, a: str, b: str, *,
@@ -271,6 +273,23 @@ class Topology:
         for link in self.links:
             yield link.key
 
+    def link_index(self) -> Mapping[tuple[str, str], int]:
+        """Position of every directed link key in :meth:`iter_link_keys`.
+
+        Memoised until the next link is added.  This is the one source of
+        the link order that allocations lay their occupancy tables out
+        in and that the allocator binds candidate routes against.
+
+        >>> from repro.topology.builders import mesh
+        >>> topo = mesh(2, 1, nis_per_router=1)
+        >>> topo.link_index()[("r0_0", "r1_0")]
+        3
+        """
+        if self._link_index is None:
+            self._link_index = {key: i for i, key
+                                in enumerate(self.iter_link_keys())}
+        return self._link_index
+
     def max_pipeline_stages(self) -> int:
         """Largest pipeline-stage count over all links."""
         return max((l.pipeline_stages for l in self.links), default=0)
@@ -357,6 +376,7 @@ class Topology:
                 raise TopologyError(
                     f"input port {link.dst_port} of {link.dst!r} already used")
         self._graph.add_edge(link.src, link.dst, link=link)
+        self._link_index = None
         self._next_out_port[link.src] = max(self._next_out_port[link.src],
                                             link.src_port + 1)
         self._next_in_port[link.dst] = max(self._next_in_port[link.dst],

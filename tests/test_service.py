@@ -11,14 +11,15 @@ from hypothesis import given, strategies as st
 from repro.campaign import CampaignRunner, CampaignSpec, churn_campaign
 from repro.campaign.runner import execute_run
 from repro.campaign.spec import ScenarioSpec, TopologySpec
-from repro.core.allocation import SlotAllocator
+from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.slot_table import (SlotTable, choose_slots_fast,
                                    mask_to_slots, max_consecutive_gap,
                                    rotate_mask, shifted, slots_to_mask)
+from repro.faults.model import FaultEvent
 from repro.service import (DEFAULT_CLASSES, AdmissionController, ChurnSpec,
                            ChurnWorkload, QosClass, SessionService,
-                           run_demo)
+                           abusive_tenant_mix, run_demo)
 from repro.topology.builders import concentrated_mesh, mesh
 
 
@@ -206,6 +207,18 @@ class TestAdmissionController:
                        "ni0_0_0", "ni1_1_0")
         assert excinfo.value.reason == "no route can meet the requirements"
 
+    def test_allocation_from_another_topology_rejected(self, small_mesh):
+        """Bindings index tables by link order: refuse a foreign
+        topology object up front rather than misreading its tables."""
+        allocator = SlotAllocator(small_mesh, table_size=16,
+                                  frequency_hz=500e6)
+        twin = mesh(2, 2, nis_per_router=2)
+        foreign = Allocation(twin, 16, 500e6, allocator.fmt)
+        with pytest.raises(ConfigurationError, match="topology"):
+            AdmissionController(allocator, foreign)
+        own = Allocation(small_mesh, 16, 500e6, allocator.fmt)
+        assert AdmissionController(allocator, own).allocation is own
+
     def test_deterministic_slot_choice(self, small_mesh):
         def one_pass():
             ctrl = self._controller(small_mesh)
@@ -303,6 +316,72 @@ class TestSessionService:
         for point in report.series:
             assert 0.0 <= point["accept_rate_total"] <= 1.0
             assert point["active_sessions"] >= 0
+
+
+class TestSharedBindings:
+    """Candidate bindings live on the allocator, not on each service."""
+
+    WFQ = ChurnSpec(n_sessions=150, arrival_rate_per_s=15000.0,
+                    tenants=abusive_tenant_mix(2))
+
+    def _fcfs(self, topo, allocator, *events):
+        service = SessionService(topo, allocator=allocator)
+        for event in events or ChurnWorkload(
+                ChurnSpec(n_sessions=150), topo, 3).events():
+            service.process(event)
+        return service
+
+    def _wfq(self, topo, allocator):
+        service = SessionService(topo, allocator=allocator, policy="wfq",
+                                 tenants=self.WFQ.tenants)
+        for event in ChurnWorkload(self.WFQ, topo, 4).events():
+            service.process(event)
+        return service
+
+    def _allocator(self, topo):
+        return SlotAllocator(topo, table_size=32, frequency_hz=500e6)
+
+    def test_shared_allocator_binds_once(self, sec7_mesh, monkeypatch):
+        shared = self._allocator(sec7_mesh)
+        fcfs = self._fcfs(sec7_mesh, shared)
+        wfq = self._wfq(sec7_mesh, shared)
+        assert fcfs.admission.path_misses > 0
+        fcfs_json = fcfs.report().to_json()
+        assert fcfs_json == self._fcfs(
+            sec7_mesh, self._allocator(sec7_mesh)).report().to_json()
+        assert wfq.report().to_json() == self._wfq(
+            sec7_mesh, self._allocator(sec7_mesh)).report().to_json()
+        calls = []
+        quote = shared.route_quotes
+        monkeypatch.setattr(shared, "route_quotes",
+                            lambda *args: calls.append(args)
+                            or quote(*args))
+        again = self._fcfs(sec7_mesh, shared)
+        assert again.admission.path_misses == 0
+        assert again.admission.path_hits > 0
+        assert calls == []
+        assert again.report().to_json() == fcfs_json
+
+    def test_service_after_fault_skips_excluded_candidates(self,
+                                                           sec7_mesh):
+        shared = self._allocator(sec7_mesh)
+        opens = [e for e in ChurnWorkload(ChurnSpec(n_sessions=150),
+                                          sec7_mesh, 3).events()
+                 if e.kind == "open"]
+        healthy = self._fcfs(sec7_mesh, shared, *opens)
+        failed = ("r1_1", "r2_1")
+        assert any(failed in ca.path.link_keys()
+                   for ca in healthy.allocation.channels.values())
+        fail = FaultEvent(0.0, "fail", "link", failed)
+        degraded = self._fcfs(sec7_mesh, shared, fail, *opens)
+        assert degraded.admission.path_misses == 0
+        assert degraded.admission.excluded_links == {failed}
+        assert degraded.admission.admits > 0
+        assert all(failed not in ca.path.link_keys()
+                   for ca in degraded.allocation.channels.values())
+        fresh = self._fcfs(sec7_mesh, self._allocator(sec7_mesh), fail,
+                           *opens)
+        assert degraded.report().to_json() == fresh.report().to_json()
 
 
 class TestServeDemo:
