@@ -18,7 +18,9 @@ slot-table sizes — twice through the same
 Both paths must agree on which candidates are feasible (pruning is a
 sound screen, not a heuristic), and the benchmark asserts the pruned
 search is at least ``TARGET_SPEEDUP`` times faster over the whole grid,
-recording the ratio in ``extra_info`` for the trajectory.
+recording the ratio in ``extra_info`` and, with ``--bench-record``, in
+``benchmarks/records/BENCH_design_search.json`` (wall time of the
+pruned screen, candidates per second, speedup).
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ def _ok_points(report) -> dict[str, float]:
             for r in report.records if r["status"] == "ok"}
 
 
-def test_pruned_screening_speedup(benchmark, design_search_enabled):
+def test_pruned_screening_speedup(benchmark, design_search_enabled,
+                                  bench_record):
     use_case = workload_from_churn(
         ChurnSpec(n_sessions=200, arrival_rate_per_s=9000.0),
         seed=2009, n_ips=32)
@@ -109,6 +112,9 @@ def test_pruned_screening_speedup(benchmark, design_search_enabled):
     benchmark.extra_info["exhaustive_s"] = round(full_s, 6)
     benchmark.extra_info["pruned_s"] = round(pruned_s, 6)
     benchmark.extra_info["speedup"] = round(speedup, 2)
+    bench_record("design_search", wall_s=pruned_s,
+                 ops_per_s=report.n_candidates / pruned_s,
+                 speedup=speedup, exhaustive_s=full_s)
     assert speedup >= TARGET_SPEEDUP, (
         f"analytical pruning only {speedup:.2f}x faster than exhaustive "
         f"screening (target >= {TARGET_SPEEDUP}x)")

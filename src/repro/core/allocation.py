@@ -673,6 +673,9 @@ class SlotAllocator:
                 f"frequency must be positive, got {frequency_hz}")
         topology.validate()
         self.topology = topology
+        #: The topology revision the route caches below are bound to;
+        #: link indices and slot shifts go stale on any later mutation.
+        self.topology_revision = topology.revision
         self.table_size = table_size
         self.frequency_hz = frequency_hz
         self.fmt = fmt or WordFormat()
@@ -755,7 +758,8 @@ class SlotAllocator:
 
     def check_compatible(self, allocation: Allocation) -> None:
         """Raise :class:`ConfigurationError` unless ``allocation`` was
-        built for this allocator's topology object and table size."""
+        built for this allocator's topology object and table size, and
+        that topology is unchanged since the allocator bound to it."""
         if allocation.table_size != self.table_size:
             raise ConfigurationError(
                 f"allocation table size {allocation.table_size} != "
@@ -763,6 +767,11 @@ class SlotAllocator:
         if allocation.topology is not self.topology:
             raise ConfigurationError(
                 "allocation was built for a different topology object")
+        if self.topology.revision != self.topology_revision:
+            raise ConfigurationError(
+                "topology changed after the allocator bound its routes "
+                f"(revision {self.topology_revision} -> "
+                f"{self.topology.revision}); build a new allocator")
 
     # -- internals --------------------------------------------------------------
 

@@ -58,11 +58,10 @@ class AdmissionController:
         if allocation is None:
             allocation = Allocation(allocator.topology, allocator.table_size,
                                     allocator.frequency_hz, allocator.fmt)
-        else:
-            # Quotes address tables by index in the allocator topology's
-            # link order; another topology object's tables would be
-            # misread silently.
-            allocator.check_compatible(allocation)
+        # Quotes address tables by index in the allocator topology's
+        # link order; another topology object's tables, or tables laid
+        # out after a mutation, would be misread silently.
+        allocator.check_compatible(allocation)
         self.allocator = allocator
         self.allocation = allocation
         self._tables = allocation.tables

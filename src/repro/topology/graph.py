@@ -16,19 +16,26 @@ Conventions
   a deterministic port map that the header encoding relies on.
 * ``pipeline_stages`` on a link counts mesochronous link pipeline stages
   (Section V of the paper); each stage adds one TDM slot to the traversal.
+* Derived views (the sorted node and link tuples, the link index, the
+  router graph and the router routes of
+  :func:`~repro.topology.routing.k_shortest_paths`) are built once per
+  topology revision: every mutator calls :meth:`Topology._changed`, which
+  drops them all and bumps :attr:`Topology.revision`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 import networkx as nx
 
 from repro.core.exceptions import TopologyError
 
 __all__ = ["NodeKind", "Link", "Topology"]
+
+_T = TypeVar("_T")
 
 
 class NodeKind(enum.Enum):
@@ -81,7 +88,11 @@ class Topology:
         self._graph = nx.DiGraph()
         self._next_out_port: dict[str, int] = {}
         self._next_in_port: dict[str, int] = {}
-        self._link_index: dict[tuple[str, str], int] | None = None
+        #: Derived views by name, see :meth:`memo`.
+        self._memo: dict[str, object] = {}
+        #: Mutation count: bumped by every structural change, so holders
+        #: of views bound to an earlier revision can tell they are stale.
+        self.revision = 0
 
     # -- construction -------------------------------------------------------
 
@@ -102,6 +113,7 @@ class Topology:
         self._graph.add_node(name, kind=kind, **attrs)
         self._next_out_port[name] = 0
         self._next_in_port[name] = 0
+        self._changed()
 
     def connect(self, src: str, dst: str, *, pipeline_stages: int = 0) -> Link:
         """Add a directed link, auto-assigning the next free port numbers."""
@@ -121,7 +133,7 @@ class Topology:
                     dst_port=self._take_in_port(dst),
                     pipeline_stages=pipeline_stages)
         self._graph.add_edge(src, dst, link=link)
-        self._link_index = None
+        self._changed()
         return link
 
     def connect_bidir(self, a: str, b: str, *,
@@ -138,6 +150,7 @@ class Topology:
         new = Link(src=old.src, dst=old.dst, src_port=old.src_port,
                    dst_port=old.dst_port, pipeline_stages=stages)
         self._graph.edges[src, dst]["link"] = new
+        self._changed()
         return new
 
     def _take_out_port(self, node: str) -> int:
@@ -179,24 +192,40 @@ class Topology:
         self._require_node(name)
         return dict(self._graph.nodes[name])
 
+    def memo(self, name: str, build: Callable[[], _T]) -> _T:
+        """The derived view ``name``, built by ``build()`` at most once
+        per :attr:`revision`.
+
+        Callers must not mutate a memoised value unless it is a cache
+        meant to be filled (the router-route cache of
+        :func:`~repro.topology.routing.k_shortest_paths`).
+        """
+        try:
+            return self._memo[name]  # type: ignore[return-value]
+        except KeyError:
+            value = self._memo[name] = build()
+            return value
+
     @property
     def routers(self) -> tuple[str, ...]:
         """All router names, sorted for determinism."""
-        return tuple(sorted(n for n, d in self._graph.nodes(data=True)
-                            if d["kind"] is NodeKind.ROUTER))
+        return self.memo("routers", lambda: self._nodes_of(NodeKind.ROUTER))
 
     @property
     def nis(self) -> tuple[str, ...]:
         """All NI names, sorted for determinism."""
+        return self.memo("nis", lambda: self._nodes_of(NodeKind.NI))
+
+    def _nodes_of(self, kind: NodeKind) -> tuple[str, ...]:
         return tuple(sorted(n for n, d in self._graph.nodes(data=True)
-                            if d["kind"] is NodeKind.NI))
+                            if d["kind"] is kind))
 
     @property
     def links(self) -> tuple[Link, ...]:
         """All directed links, sorted by ``(src, dst)``."""
-        return tuple(sorted((d["link"] for _, _, d in
-                             self._graph.edges(data=True)),
-                            key=lambda l: l.key))
+        return self.memo("links", lambda: tuple(sorted(
+            (d["link"] for _, _, d in self._graph.edges(data=True)),
+            key=lambda l: l.key)))
 
     def link(self, src: str, dst: str) -> Link:
         """The link ``src -> dst``; raises :class:`TopologyError` if absent."""
@@ -243,19 +272,24 @@ class Topology:
                             if self.kind(n) is NodeKind.NI))
 
     def router_graph(self) -> nx.DiGraph:
-        """Subgraph induced by the routers (for path search).
+        """Subgraph induced by the routers (for path search), frozen.
 
         Built node-by-node in sorted order rather than via ``subgraph()``:
         networkx's induced-subgraph copy iterates a node *set*, whose order
         depends on ``PYTHONHASHSEED``, and that order leaks into shortest-
         path tie-breaking — allocations must not vary across processes.
+        Memoised per revision and shared by every caller, hence frozen:
+        a search that needs to drop edges works on ``copy()``.
         """
+        return self.memo("router_graph", self._build_router_graph)
+
+    def _build_router_graph(self) -> nx.DiGraph:
         rg = nx.DiGraph()
         rg.add_nodes_from(self.routers)
         for link in self.links:
             if rg.has_node(link.src) and rg.has_node(link.dst):
                 rg.add_edge(link.src, link.dst, link=link)
-        return rg
+        return nx.freeze(rg)
 
     def out_port(self, src: str, dst: str) -> int:
         """Output-port index used by ``src`` to reach ``dst``."""
@@ -276,7 +310,7 @@ class Topology:
     def link_index(self) -> Mapping[tuple[str, str], int]:
         """Position of every directed link key in :meth:`iter_link_keys`.
 
-        Memoised until the next link is added.  This is the one source of
+        Memoised until the next mutation.  This is the one source of
         the link order that allocations lay their occupancy tables out
         in and that the allocator binds candidate routes against.
 
@@ -285,10 +319,8 @@ class Topology:
         >>> topo.link_index()[("r0_0", "r1_0")]
         3
         """
-        if self._link_index is None:
-            self._link_index = {key: i for i, key
-                                in enumerate(self.iter_link_keys())}
-        return self._link_index
+        return self.memo("link_index", lambda: {
+            key: i for i, key in enumerate(self.iter_link_keys())})
 
     def max_pipeline_stages(self) -> int:
         """Largest pipeline-stage count over all links."""
@@ -376,13 +408,18 @@ class Topology:
                 raise TopologyError(
                     f"input port {link.dst_port} of {link.dst!r} already used")
         self._graph.add_edge(link.src, link.dst, link=link)
-        self._link_index = None
         self._next_out_port[link.src] = max(self._next_out_port[link.src],
                                             link.src_port + 1)
         self._next_in_port[link.dst] = max(self._next_in_port[link.dst],
                                            link.dst_port + 1)
+        self._changed()
 
     # -- internals ----------------------------------------------------------
+
+    def _changed(self) -> None:
+        """The one invalidation point: every mutator calls it last."""
+        self._memo.clear()
+        self.revision += 1
 
     def _require_node(self, name: str) -> None:
         if name not in self._graph:

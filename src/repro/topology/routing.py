@@ -81,6 +81,12 @@ def k_shortest_paths(topo: Topology, src_ni: str, dst_ni: str,
     attachment link is excluded, or whose endpoints are disconnected on the
     surviving graph, raises :class:`TopologyError` like any unroutable pair.
 
+    Without exclusions the router sequences are memoised on the topology
+    per ``(src router, dst router, k)``, so every allocator, probe and
+    service on one topology searches each router pair once; searches
+    with exclusions run on a copy of the router graph and are not cached.
+    Each call returns a fresh list of paths, which callers may reorder.
+
     >>> from repro.topology.builders import mesh
     >>> topo = mesh(2, 2, nis_per_router=1)
     >>> [p.routers for p in k_shortest_paths(topo, "ni0_0_0",
@@ -95,17 +101,34 @@ def k_shortest_paths(topo: Topology, src_ni: str, dst_ni: str,
         raise TopologyError(f"k must be >= 1, got {k}")
     src_router = topo.attached_router(src_ni)
     dst_router = topo.attached_router(dst_ni)
-    rg = topo.router_graph()
     if exclude_links:
         if (src_ni, src_router) in exclude_links or \
                 (dst_router, dst_ni) in exclude_links:
             raise TopologyError(
                 f"NI attachment link of {src_ni!r} or {dst_ni!r} is "
                 "excluded; no surviving route exists")
-        rg.remove_edges_from(
-            [key for key in exclude_links if rg.has_edge(*key)])
     if src_router == dst_router:
         return [make_path(topo, src_ni, [src_router], dst_ni)]
+    if exclude_links:
+        rg = topo.router_graph().copy()
+        rg.remove_edges_from(
+            [key for key in exclude_links if rg.has_edge(*key)])
+        routes = _router_routes(rg, src_router, dst_router, k)
+    else:
+        cache: dict[tuple[str, str, int], tuple[tuple[str, ...], ...]] = \
+            topo.memo("router_routes", dict)
+        key = (src_router, dst_router, k)
+        routes = cache.get(key)
+        if routes is None:
+            routes = cache[key] = _router_routes(
+                topo.router_graph(), src_router, dst_router, k)
+    return [make_path(topo, src_ni, routers, dst_ni) for routers in routes]
+
+
+def _router_routes(rg: nx.DiGraph, src_router: str, dst_router: str,
+                   k: int) -> tuple[tuple[str, ...], ...]:
+    """The ``k`` shortest router sequences, tie group sorted (see
+    :func:`k_shortest_paths`)."""
     routes: list[list[str]] = []
     cap = max(32, 4 * k)
     try:
@@ -121,8 +144,7 @@ def k_shortest_paths(topo: Topology, src_ni: str, dst_ni: str,
         raise TopologyError(
             f"no router path from {src_router!r} to {dst_router!r}")
     routes.sort(key=lambda r: (len(r), r))
-    return [make_path(topo, src_ni, routers, dst_ni)
-            for routers in routes[:k]]
+    return tuple(tuple(routers) for routers in routes[:k])
 
 
 def weighted_shortest_path(topo: Topology, src_ni: str, dst_ni: str,

@@ -197,6 +197,49 @@ class TestIncrementalReconfiguration:
         alloc.validate()
 
 
+class TestTopologyMutationAfterBinding:
+    """Route quotes bind link *indices* and slot shifts of one topology
+    revision; a later mutation must not let them address new tables."""
+
+    def _bound(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        allocator = _allocator(topo, table_size=8)
+        spec = ChannelSpec("c", "ipA", "ipB", 10 * MB)
+        quotes = allocator.route_quotes("ni0_0_0", "ni1_1_0", spec)
+        assert quotes
+        return topo, allocator, quotes
+
+    def test_added_router_rejects_new_allocation(self):
+        from repro.service.admission import AdmissionController
+        topo, allocator, quotes = self._bound()
+        topo.add_router("r0_0a")
+        topo.connect_bidir("r0_0", "r0_0a")
+        # The cached indices now name other links than the route's.
+        links = topo.links
+        assert any(links[i].key != key for quote in quotes
+                   for (i, _), key in zip(quote.links,
+                                          quote.path.link_keys()))
+        fresh = Allocation(topo, 8, 500e6, allocator.fmt)
+        with pytest.raises(ConfigurationError, match="topology changed"):
+            AdmissionController(allocator, fresh)
+        with pytest.raises(ConfigurationError, match="topology changed"):
+            AdmissionController(allocator)
+        with pytest.raises(ConfigurationError, match="topology changed"):
+            allocator.extend(fresh, [], Mapping({}))
+
+    def test_pipeline_stage_change_rejects_allocation(self):
+        topo, allocator, _ = self._bound()
+        mapping = Mapping({"ipA": "ni0_0_0", "ipB": "ni1_1_0"})
+        topo.set_pipeline_stages("r0_0", "r1_0", 2)
+        with pytest.raises(ConfigurationError, match="topology changed"):
+            allocator.allocate([ChannelSpec("c", "ipA", "ipB", 10 * MB)],
+                               mapping)
+        # A new allocator binds the current revision.
+        alloc = _allocator(topo, table_size=8).allocate(
+            [ChannelSpec("c", "ipA", "ipB", 10 * MB)], mapping)
+        alloc.validate()
+
+
 class TestAllocationProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 10))

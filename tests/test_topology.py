@@ -107,6 +107,117 @@ class TestTopologyGraph:
         assert topo.link("r0_0", "r1_0").pipeline_stages == 3
 
 
+def _views(topo):
+    """Every memoised view, materialised for comparison."""
+    rg = topo.router_graph()
+    return {
+        "links": topo.links,
+        "routers": topo.routers,
+        "nis": topo.nis,
+        "link_index": dict(topo.link_index()),
+        "router_graph": (tuple(rg.nodes),
+                         tuple((u, v, d["link"])
+                               for u, v, d in rg.edges(data=True))),
+        "routes": tuple(p.routers for p in k_shortest_paths(
+            topo, "ni0_0_0", "ni1_0_0", 2)),
+    }
+
+
+class TestTopologyMemo:
+    """Derived views are built once per revision and dropped on every
+    mutation."""
+
+    def test_views_are_memoised(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        assert topo.links is topo.links
+        assert topo.routers is topo.routers
+        assert topo.link_index() is topo.link_index()
+        assert topo.router_graph() is topo.router_graph()
+
+    def test_connect_and_add_router_invalidate(self):
+        topo = mesh(2, 1, nis_per_router=1)
+        before = _views(topo)
+        assert before["routes"] == (("r0_0", "r1_0"),)
+        topo.add_router("rx")
+        assert "rx" in topo.routers and "rx" in topo.router_graph()
+        topo.connect_bidir("r0_0", "rx")
+        topo.connect("rx", "r1_0")
+        topo.connect("r1_0", "rx")
+        after = _views(topo)
+        assert after["routes"] == (("r0_0", "r1_0"), ("r0_0", "rx", "r1_0"))
+        assert len(after["links"]) == len(before["links"]) + 4
+        assert after["link_index"] == {
+            link.key: i for i, link in enumerate(after["links"])}
+        assert topo.router_graph().has_edge("rx", "r1_0")
+
+    def test_add_ni_invalidates(self):
+        topo = mesh(2, 1, nis_per_router=1)
+        _views(topo)
+        topo.add_ni("ni_extra")
+        assert "ni_extra" in topo.nis
+        topo.connect_bidir("ni_extra", "r1_0")
+        assert ("ni_extra", "r1_0") in topo.link_index()
+        paths = k_shortest_paths(topo, "ni_extra", "ni0_0_0", 2)
+        assert [p.routers for p in paths] == [("r1_0", "r0_0")]
+
+    def test_set_pipeline_stages_invalidates(self):
+        topo = mesh(2, 1, nis_per_router=1)
+        _views(topo)
+        topo.set_pipeline_stages("r0_0", "r1_0", 2)
+        after = _views(topo)
+        staged = after["links"][after["link_index"][("r0_0", "r1_0")]]
+        assert staged.pipeline_stages == 2
+        assert topo.router_graph().edges["r0_0", "r1_0"]["link"] == staged
+        path = k_shortest_paths(topo, "ni0_0_0", "ni1_0_0", 1)[0]
+        assert path.links[1].pipeline_stages == 2
+        assert path.link_shifts == (0, 1, 4)
+
+    def test_from_dict_views_match(self):
+        topo = mesh(2, 2, nis_per_router=1, pipeline_stages=1)
+        clone = Topology.from_dict(topo.to_dict())
+        assert _views(clone) == _views(topo)
+        clone.add_router("rx")
+        assert "rx" in clone.routers and "rx" not in topo.routers
+
+    def test_revision_counts_mutations(self):
+        topo = mesh(2, 1, nis_per_router=1)
+        start = topo.revision
+        topo.set_pipeline_stages("r0_0", "r1_0", 1)
+        topo.add_router("rx")
+        topo.connect("rx", "r0_0")
+        assert topo.revision == start + 3
+
+    def test_router_graph_is_frozen(self):
+        import networkx as nx
+        topo = mesh(2, 2, nis_per_router=1)
+        with pytest.raises(nx.NetworkXError):
+            topo.router_graph().remove_edge("r0_0", "r1_0")
+        with pytest.raises(nx.NetworkXError):
+            topo.router_graph().add_edge("r0_0", "r1_1")
+
+    def test_excluded_search_leaves_cache_intact(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        before = [p.routers for p in
+                  k_shortest_paths(topo, "ni0_0_0", "ni1_1_0", 2)]
+        excluded = k_shortest_paths(
+            topo, "ni0_0_0", "ni1_1_0", 2,
+            exclude_links=frozenset({("r0_0", "r0_1")}))
+        assert [p.routers for p in excluded] == [("r0_0", "r1_0", "r1_1")]
+        after = [p.routers for p in
+                 k_shortest_paths(topo, "ni0_0_0", "ni1_1_0", 2)]
+        assert after == before
+        assert topo.router_graph().has_edge("r0_0", "r0_1")
+
+    def test_each_call_returns_a_fresh_list(self):
+        topo = mesh(3, 3, nis_per_router=1)
+        first = k_shortest_paths(topo, "ni0_0_0", "ni2_2_0", 3)
+        second = k_shortest_paths(topo, "ni0_0_0", "ni2_2_0", 3)
+        assert first is not second and first == second
+        first.reverse()
+        first.pop()
+        assert k_shortest_paths(topo, "ni0_0_0", "ni2_2_0", 3) == second
+
+
 class TestBuilders:
     def test_mesh_counts(self):
         topo = mesh(4, 3, nis_per_router=4)
